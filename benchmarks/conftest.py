@@ -29,6 +29,30 @@ def artifact_dir() -> Path:
     return ARTIFACTS
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "bench_artifact(name): the BENCH_*.json file a gated "
+        "bench writes (see the bench_artifact fixture)")
+
+
+@pytest.fixture
+def bench_artifact(request, artifact_dir) -> Path:
+    """The gated bench's ``BENCH_*.json`` path, deleted before the body runs.
+
+    Name the file with ``@pytest.mark.bench_artifact("BENCH_x.json")``.
+    A bench that fails before writing then leaves no artifact behind,
+    so ``scripts/check_bench_baseline.py`` fails with "not found"
+    instead of passing on a stale file from an earlier run.
+    """
+    marker = request.node.get_closest_marker("bench_artifact")
+    if marker is None:
+        raise pytest.UsageError(
+            "bench_artifact needs @pytest.mark.bench_artifact(name)")
+    path = artifact_dir / marker.args[0]
+    path.unlink(missing_ok=True)
+    return path
+
+
 @pytest.fixture
 def record_artifact(artifact_dir):
     """Write (and echo) one named artifact."""

@@ -55,13 +55,11 @@ INNER = 1     # runs per timed measurement
 
 
 def _consistency_violations(stats) -> int:
-    """Parent/child row-flow disagreements along the attached spine."""
+    """Parent/child row-flow disagreements in the stats tree."""
     violations = 0
     for index, op in enumerate(stats.ops):
-        if op.detached:
-            continue
         for later in stats.ops[index + 1:]:
-            if later.depth == op.depth + 1 and not later.detached:
+            if later.depth == op.depth + 1:
                 if op.rows_in != later.rows_out:
                     violations += 1
             if later.depth <= op.depth:
@@ -70,7 +68,8 @@ def _consistency_violations(stats) -> int:
 
 
 @pytest.mark.slow
-def test_analyze_overhead_bench(benchmark, artifact_dir):
+@pytest.mark.bench_artifact("BENCH_analyze.json")
+def test_analyze_overhead_bench(benchmark, bench_artifact):
     """Analyzed vs. plain execution over one serial workload."""
     _, _, doem = large_world(seed=WORLD_SEED, **WORLD)
     engine = ChorelEngine(doem, name="root")
@@ -140,7 +139,6 @@ def test_analyze_overhead_bench(benchmark, artifact_dir):
         equivalence={"row_mismatches": row_mismatches,
                      "consistency_violations": consistency_violations},
         queries={"recorded": recorded})
-    path = artifact_dir / "BENCH_analyze.json"
-    path.write_text(artifact + "\n", encoding="utf-8")
-    print(f"\n===== artifact BENCH_analyze ({path}) =====")
+    bench_artifact.write_text(artifact + "\n", encoding="utf-8")
+    print(f"\n===== artifact BENCH_analyze ({bench_artifact}) =====")
     print(artifact)

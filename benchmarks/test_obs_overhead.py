@@ -21,7 +21,8 @@ and writes ``benchmarks/artifacts/BENCH_obs.json``:
 
 Wall times are machine-dependent and never baseline-compared; the
 committed baseline (``benchmarks/baselines/BENCH_obs_baseline.json``)
-pins only the workload parameters.
+pins the workload parameters and the event count (two info-level events
+per query: ``query_compiled`` and ``query_completed``).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ QUERIES = (
 REPEATS = 5   # min-of-repeats per posture
 INNER = 1     # workload sweeps per timed repeat
 # The production posture under measurement: events on at "info" (debug
-# events -- rule_fired, shard_dispatched -- are level-filtered, which is
+# events -- rule_fired -- are level-filtered, which is
 # itself part of the cost being measured), tracing off.
 EVENTS_LEVEL = "info"
 
@@ -63,7 +64,8 @@ def _run_workload(engines_and_queries) -> None:
 
 
 @pytest.mark.slow
-def test_obs_overhead_bench(benchmark, artifact_dir, tmp_path):
+@pytest.mark.bench_artifact("BENCH_obs.json")
+def test_obs_overhead_bench(benchmark, bench_artifact, tmp_path):
     """Instrumented vs. disabled telemetry over one serial workload."""
     _, _, doem = large_world(seed=WORLD_SEED, **WORLD)
     workload = [(ChorelEngine(doem, name="root"), QUERIES)]
@@ -119,7 +121,6 @@ def test_obs_overhead_bench(benchmark, artifact_dir, tmp_path):
               "cpus": os.cpu_count() or 1},
         overhead={"ratio": round(ratio, 6)},
         events={"written": written})
-    path = artifact_dir / "BENCH_obs.json"
-    path.write_text(artifact + "\n", encoding="utf-8")
-    print(f"\n===== artifact BENCH_obs ({path}) =====")
+    bench_artifact.write_text(artifact + "\n", encoding="utf-8")
+    print(f"\n===== artifact BENCH_obs ({bench_artifact}) =====")
     print(artifact)

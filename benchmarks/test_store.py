@@ -29,6 +29,8 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from test_index_ablation import metrics_json  # noqa: E402
@@ -60,7 +62,8 @@ def probe_times(history):
     return half[::stride][:PROBES]
 
 
-def test_checkpointed_time_travel(benchmark, artifact_dir, tmp_path):
+@pytest.mark.bench_artifact("BENCH_store.json")
+def test_checkpointed_time_travel(benchmark, bench_artifact, tmp_path):
     db, history, log = build_log(tmp_path)
     probes = probe_times(history)
     assert log.checkpoints(), "the policy must have produced checkpoints"
@@ -122,7 +125,6 @@ def test_checkpointed_time_travel(benchmark, artifact_dir, tmp_path):
                "snapshots_from_origin": stats["snapshots_from_origin"],
                "replayed_sets": stats["replayed_sets"],
                "checkpoints_written": stats["checkpoints_written"]})
-    path = artifact_dir / "BENCH_store.json"
-    path.write_text(artifact + "\n", encoding="utf-8")
-    print(f"\n===== artifact BENCH_store ({path}) =====")
+    bench_artifact.write_text(artifact + "\n", encoding="utf-8")
+    print(f"\n===== artifact BENCH_store ({bench_artifact}) =====")
     print(artifact)

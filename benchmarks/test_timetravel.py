@@ -33,6 +33,8 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from test_index_ablation import metrics_json  # noqa: E402
@@ -82,7 +84,8 @@ def run_with_strategy(engine, compiled, strategy):
     return engine.execute(compiled)
 
 
-def test_timetravel_strategies(benchmark, artifact_dir, tmp_path):
+@pytest.mark.bench_artifact("BENCH_timetravel.json")
+def test_timetravel_strategies(benchmark, bench_artifact, tmp_path):
     _db, history, doem, log = build_world(tmp_path)
     assert log.checkpoints(), "the policy must have produced checkpoints"
 
@@ -175,7 +178,6 @@ def test_timetravel_strategies(benchmark, artifact_dir, tmp_path):
               "wide_full_seconds": round(wide_full, 6),
               "wide_checkpoint_seconds": round(wide_ckpt, 6),
               "wide_ratio": round(wide_ratio, 4)})
-    path = artifact_dir / "BENCH_timetravel.json"
-    path.write_text(artifact + "\n", encoding="utf-8")
-    print(f"\n===== artifact BENCH_timetravel ({path}) =====")
+    bench_artifact.write_text(artifact + "\n", encoding="utf-8")
+    print(f"\n===== artifact BENCH_timetravel ({bench_artifact}) =====")
     print(artifact)

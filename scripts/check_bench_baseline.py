@@ -4,8 +4,8 @@
 Usage::
 
     python scripts/check_bench_baseline.py \
-        benchmarks/artifacts/BENCH_parallel.json \
-        benchmarks/baselines/BENCH_parallel_baseline.json
+        benchmarks/artifacts/BENCH_planner.json \
+        benchmarks/baselines/BENCH_planner_baseline.json
 
 Every key present in the baseline must exist in the artifact with a
 *matching* value -- the baseline deliberately contains only the
@@ -19,12 +19,11 @@ diverging.
 On top of the baseline diff, family-specific invariants run for
 whichever bench families the artifact contains:
 
-* ``bench_parallel.*`` -- the worker pool actually ran
-  (``submitted``/``completed`` > 0), the equivalence sweeps report zero
-  mismatches, every query compiled through ``repro.plan`` with **each**
-  rewrite rule firing at least once, and on a machine with two or more
-  cores the process-sharded pass must beat the serial pass
-  (``wall.ratio`` < 1.0; single-core machines record but are not gated);
+* ``bench_planner.*`` -- the planned-vs-legacy equivalence sweeps
+  report zero mismatches, every query compiled through ``repro.plan``,
+  and **each** rewrite rule fired at least once: every name in
+  :data:`PLANNER_RULES` and every ``plan.rules_fired.*`` series the
+  artifact carries must be above zero;
 * ``bench_obs.*`` -- the telemetry-overhead gate: the instrumented run
   must cost less than 5% over the disabled run
   (``overhead.ratio`` < 1.05), and the instrumented run must actually
@@ -50,6 +49,11 @@ whichever bench families the artifact contains:
   (``workload.rows_narrow`` > 0) -- a strategy split that returned
   nothing measured nothing.
 
+A missing artifact fails the check: the benches delete their artifact
+before running (the ``bench_artifact`` fixture in
+``benchmarks/conftest.py``), so a bench that failed leaves nothing to
+pass on.
+
 Exit status: 0 clean, 1 on any divergence (the CI bench-regression and
 telemetry-overhead jobs gate on it).
 """
@@ -63,6 +67,11 @@ from pathlib import Path
 OBS_OVERHEAD_LIMIT = 1.05
 ANALYZE_OVERHEAD_LIMIT = 1.05
 STORE_SPEEDUP_LIMIT = 0.5
+# The planner's rewrite passes (repro.plan.rules.RULE_NAMES), listed here
+# so the checker runs without importing the package.
+PLANNER_RULES = ("virtual-at-expansion", "time-range-strategy",
+                 "annotation-literal-pushdown", "index-selection",
+                 "predicate-reorder")
 
 
 def fail(message: str) -> None:
@@ -85,47 +94,33 @@ def _matches(expected, actual) -> bool:
     return expected == actual
 
 
-def _check_parallel(artifact: dict) -> str:
-    for counter in ("bench_parallel.pool.submitted",
-                    "bench_parallel.pool.completed"):
-        if artifact.get(counter, 0) <= 0:
-            fail(f"{counter} is {artifact.get(counter)!r}; the worker pool "
-                 f"never ran")
-    for counter in ("bench_parallel.equivalence.sharded_mismatches",
-                    "bench_parallel.equivalence.batch_mismatches",
-                    "bench_parallel.equivalence.rules_mismatches"):
+def _check_planner(artifact: dict) -> str:
+    for counter in ("bench_planner.equivalence.rules_mismatches",
+                    "bench_planner.equivalence.heavy_mismatches"):
         if artifact.get(counter, "<missing>") != 0:
-            fail(f"{counter} is {artifact.get(counter)!r}; parallel results "
-                 f"diverged from serial")
+            fail(f"{counter} is {artifact.get(counter)!r}; planned results "
+                 f"diverged from the legacy evaluator")
 
     # The planner must actually be in the loop: every query compiles
     # through repro.plan, and every rewrite rule does work on this
     # workload -- one inert pass is a regression, not a detail.
-    if artifact.get("bench_parallel.plan.compiled", 0) <= 0:
-        fail("bench_parallel.plan.compiled is "
-             f"{artifact.get('bench_parallel.plan.compiled')!r}; queries "
+    if artifact.get("bench_planner.plan.compiled", 0) <= 0:
+        fail("bench_planner.plan.compiled is "
+             f"{artifact.get('bench_planner.plan.compiled')!r}; queries "
              f"bypassed the plan pipeline")
-    for rule in ("virtual-at-expansion", "annotation-literal-pushdown",
-                 "index-selection", "predicate-reorder"):
-        counter = f"bench_parallel.plan.rules_fired.{rule}"
+    prefix = "bench_planner.plan.rules_fired."
+    counters = {f"{prefix}{rule}" for rule in PLANNER_RULES}
+    counters.update(key for key in artifact if key.startswith(prefix))
+    for counter in sorted(counters):
         if artifact.get(counter, 0) <= 0:
             fail(f"{counter} is {artifact.get(counter, '<missing>')!r}; "
-                 f"the {rule} pass went inert on the probe workload")
+                 f"the {counter.removeprefix(prefix)} pass went inert on "
+                 f"the probe workload")
 
-    # Sharding must *pay* where it can: with >= 2 cores the process-pool
-    # pass has real parallelism available, so sharded must beat serial.
-    ratio = artifact.get("bench_parallel.wall.ratio")
-    cpus = artifact.get("bench_parallel.wall.cpus", 1)
-    if not isinstance(ratio, (int, float)) or ratio <= 0:
-        fail(f"bench_parallel.wall.ratio is {ratio!r}; the bench did not "
-             f"record the sharded/serial wall-clock ratio")
-    if cpus >= 2 and ratio >= 1.0:
-        fail(f"sharded/serial ratio {ratio} >= 1.0 on a {cpus}-core "
-             f"machine; process-pool sharding stopped paying for itself")
-
-    return (f"pool ran {artifact['bench_parallel.pool.completed']} tasks, "
-            f"sharded/serial ratio {ratio} on {cpus} cpu(s)"
-            + ("" if cpus >= 2 else " [not gated: single core]"))
+    compared = (artifact.get("bench_planner.equivalence.rules_compared", 0)
+                + artifact.get("bench_planner.equivalence.heavy_compared", 0))
+    return (f"{compared} planned queries matched the legacy evaluator, "
+            f"{len(counters)} rewrite rules fired")
 
 
 def _check_obs(artifact: dict) -> str:
@@ -237,8 +232,8 @@ def main(argv: list[str]) -> None:
              + "\n".join(diverged))
 
     notes = []
-    if "bench_parallel.wall.ratio" in artifact:
-        notes.append(_check_parallel(artifact))
+    if any(key.startswith("bench_planner.") for key in artifact):
+        notes.append(_check_planner(artifact))
     if "bench_obs.overhead.ratio" in artifact:
         notes.append(_check_obs(artifact))
     if "bench_analyze.overhead.ratio" in artifact:
@@ -249,7 +244,7 @@ def main(argv: list[str]) -> None:
         notes.append(_check_timetravel(artifact))
     if not notes:
         fail("artifact contains no recognized bench family "
-             "(bench_parallel.*, bench_obs.*, bench_analyze.*, "
+             "(bench_planner.*, bench_obs.*, bench_analyze.*, "
              "bench_store.*, or bench_timetravel.*)")
 
     print(f"baseline check OK: {len(baseline)} series match, "

@@ -93,7 +93,7 @@ from .doem import (
     snapshot_cache,
 )
 from .lorel import LorelEngine, QueryResult, format_query, parse_query
-from .parallel import ParallelExecutor, WorkerPool, parallel_run, run_many
+from .parallel import WorkerPool
 from .lorel.update import parse_update, plan_update
 from .chorel import ChorelEngine, TranslatingChorelEngine, translate_query
 from .chorel.optimize import IndexedChorelEngine
@@ -172,8 +172,8 @@ __all__ = [
     "IndexedChorelEngine",
     "CompiledPlan", "EngineStats", "IndexPlan", "PassManager",
     "compile_query", "execute_plan",
-    # parallel execution
-    "ParallelExecutor", "WorkerPool", "parallel_run", "run_many",
+    # concurrent QSS polling
+    "WorkerPool",
     # triggers (Section 7 future work)
     "TriggerManager", "Rule", "Event", "Activation",
     # lore

@@ -26,7 +26,6 @@ from ..plan import (
     CompiledPlan,
     ExecutionContext,
     compile_query,
-    insert_exchange,
     run_compiled,
 )
 from ..timestamps import Timestamp, parse_timestamp
@@ -48,27 +47,17 @@ class ChorelEngine:
 
     ``use_planner=False`` routes ``run`` through the legacy single-pass
     evaluator (the differential oracle; identical rows, identical order).
-
-    ``batch_size`` selects the physical execution model: positive widths
-    run the batched operators (the default,
-    :data:`repro.plan.batch.DEFAULT_BATCH_SIZE` rows per batch), ``0``
-    the per-environment iterator model.  Rows and order are identical
-    either way.
     """
 
     def __init__(self, doem: DOEMDatabase, name: str | None = None,
                  polling_times: dict[int, Timestamp] | None = None, *,
-                 use_planner: bool = True,
-                 batch_size: int | None = None) -> None:
+                 use_planner: bool = True) -> None:
         self.doem = doem
         names = {name or doem.graph.root: doem.graph.root}
         self.view = DOEMView(doem, names)
         self._evaluator = Evaluator(self.view)
         self._polling_times: dict[int, Timestamp] = dict(polling_times or {})
         self.use_planner = use_planner
-        from ..plan.batch import DEFAULT_BATCH_SIZE
-        self.batch_size = DEFAULT_BATCH_SIZE if batch_size is None \
-            else batch_size
         self.last_profile = None
         self.last_compiled: CompiledPlan | None = None
 
@@ -123,7 +112,7 @@ class ChorelEngine:
 
     def _compile(self, query: Query,
                  bindings: dict[str, str] | None = None) -> CompiledPlan:
-        """Compile without touching ``last_compiled`` (worker-thread safe)."""
+        """Compile without touching ``last_compiled``."""
         context = self._compile_context(bindings)
         return compile_query(query, self._evaluator, context=context)
 
@@ -139,41 +128,21 @@ class ChorelEngine:
         )
 
     def execute(self, compiled: CompiledPlan,
-                bindings: dict[str, str] | None = None, *, pool=None,
-                min_shard_size: int = 1,
-                parallel_metrics=None,
+                bindings: dict[str, str] | None = None, *,
                 analyze: bool = False) -> QueryResult:
         """Run a compiled plan through the physical operators.
 
-        ``pool`` (set by the parallel executor) shards the plan behind an
-        ``Exchange`` operator when it has a from clause to shard along.
         ``analyze=True`` attaches per-operator runtime accounting
         (identical rows) and leaves the stats on ``compiled.runtime``.
         """
-        root = compiled.root
-        ctx = self._execution_context(bindings, pool=pool,
-                                      min_shard_size=min_shard_size,
-                                      parallel_metrics=parallel_metrics)
-        if pool is not None:
-            exchanged = insert_exchange(root)
-            if exchanged is not None:
-                return run_compiled(compiled, exchanged, ctx, self,
-                                    analyze=analyze)
-            if parallel_metrics is not None:
-                parallel_metrics["serial_queries"].inc()
-            return run_compiled(compiled, root, ctx, self, analyze=analyze)
+        ctx = self._execution_context(bindings)
         with span("lorel.eval"):
-            return run_compiled(compiled, root, ctx, self, analyze=analyze)
+            return run_compiled(compiled, ctx, self, analyze=analyze)
 
-    def _execution_context(self, bindings=None, *, pool=None,
-                           min_shard_size: int = 1,
-                           parallel_metrics=None) -> ExecutionContext:
+    def _execution_context(self, bindings=None) -> ExecutionContext:
         return ExecutionContext(evaluator=self._evaluator,
                                 base_env=self._base_env(bindings),
-                                doem=self.doem, pool=pool,
-                                min_shard_size=min_shard_size,
-                                parallel_metrics=parallel_metrics,
-                                batch_size=self.batch_size)
+                                doem=self.doem)
 
     # -- entry points ----------------------------------------------------
 
@@ -233,14 +202,3 @@ class ChorelEngine:
             for name, node_id in bindings.items():
                 env[name] = NodeBinding(node_id)
         return env
-
-    def run_many(self, queries, *, pool=None,
-                 max_workers: int | None = None) -> list[QueryResult]:
-        """Evaluate a batch of queries concurrently; results in input order.
-
-        Row-for-row equivalent to ``[self.run(q) for q in queries]``, but
-        parsing and index acquisition happen once and the evaluations fan
-        out to a worker pool (see :mod:`repro.parallel`).
-        """
-        from ..parallel.executor import run_many as _run_many
-        return _run_many(self, queries, pool=pool, max_workers=max_workers)

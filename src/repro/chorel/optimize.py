@@ -10,12 +10,9 @@ thin facade: recognition of the index-servable shape lives in the
 scan with backward path verification -- is the ``AnnotationFilter``
 physical operator (:func:`repro.plan.physical.execute_index_plan`).
 
-What remains here is the engine facade (index/path-index ownership, the
-``chorel.optimize`` / ``chorel.index_scan`` spans, and the pushdown
-accounting) plus deprecation shims: :class:`~repro.plan.stats.IndexPlan`
-and :class:`~repro.plan.stats.EngineStats` moved to the plan layer but
-remain importable from here, and ``_extract_plan`` / ``_execute_plan``
-keep their pre-planner signatures.
+What remains here is the engine facade: index/path-index ownership, the
+``chorel.optimize`` / ``chorel.index_scan`` / ``chorel.range_scan``
+spans, and the pushdown accounting.
 """
 
 from __future__ import annotations
@@ -24,17 +21,11 @@ from ..doem.model import DOEMDatabase
 from ..lorel.result import QueryResult
 from ..lore.indexes import PathIndex, TimestampIndex
 from ..obs.trace import span
-from ..plan import (
-    CompileContext,
-    CompiledPlan,
-    execute_index_plan,
-    run_compiled,
-)
-# Deprecation shims: these classes now live in the plan layer.
+from ..plan import CompileContext, CompiledPlan, run_compiled
 from ..plan.stats import EngineStats, IndexPlan, RangePlan
 from .engine import ChorelEngine
 
-__all__ = ["IndexedChorelEngine", "IndexPlan", "EngineStats"]
+__all__ = ["IndexedChorelEngine"]
 
 
 class IndexedChorelEngine(ChorelEngine):
@@ -98,8 +89,8 @@ class IndexedChorelEngine(ChorelEngine):
         context.has_index = True
         return context
 
-    def _execution_context(self, bindings=None, **parallel):
-        context = super()._execution_context(bindings, **parallel)
+    def _execution_context(self, bindings=None):
+        context = super()._execution_context(bindings)
         context.index = self.index
         context.paths = self.paths
         context.log = self.log
@@ -107,25 +98,20 @@ class IndexedChorelEngine(ChorelEngine):
 
     def execute(self, compiled: CompiledPlan,
                 bindings: dict[str, str] | None = None, *,
-                analyze: bool = False, **parallel) -> QueryResult:
+                analyze: bool = False) -> QueryResult:
         if compiled.is_indexed:
-            # The index scan is never sharded: run the AnnotationFilter
-            # root directly (the instrumented kernel when analyzing).
             ctx = self._execution_context(bindings)
             with span("chorel.index_scan",
                       plan=compiled.index_plan.describe()):
-                return run_compiled(compiled, compiled.root, ctx, self,
-                                    analyze=analyze)
+                return run_compiled(compiled, ctx, self, analyze=analyze)
         if compiled.is_range:
-            # Likewise serial: the range kernel is one merged event scan
-            # (index or replay) plus backward verification.
+            # The range kernel is one merged event scan (index or
+            # replay) plus backward verification.
             ctx = self._execution_context(bindings)
             with span("chorel.range_scan",
                       plan=compiled.range_plan.describe()):
-                return run_compiled(compiled, compiled.root, ctx, self,
-                                    analyze=analyze)
-        return super().execute(compiled, bindings, analyze=analyze,
-                               **parallel)
+                return run_compiled(compiled, ctx, self, analyze=analyze)
+        return super().execute(compiled, bindings, analyze=analyze)
 
     # ------------------------------------------------------------------
 
@@ -165,22 +151,3 @@ class IndexedChorelEngine(ChorelEngine):
         if not self.use_planner:
             return self._evaluator.run(query, self._base_env(None))
         return self.execute(compiled, analyze=analyze)
-
-    # -- pre-planner compatibility shims --------------------------------
-
-    def _extract_plan(self, query) -> IndexPlan | None:
-        """The index plan the optimizer would choose, or ``None``.
-
-        Deprecated: compile instead (``engine.compile(q).index_plan``).
-        """
-        if isinstance(query, str):
-            query = self.parse(query)
-        return self._compile(query).index_plan
-
-    def _execute_plan(self, plan: IndexPlan) -> QueryResult:
-        """Execute an index plan directly (no accounting).
-
-        Deprecated: the ``AnnotationFilter`` operator
-        (:func:`repro.plan.physical.execute_index_plan`) is the kernel.
-        """
-        return execute_index_plan(plan, self._execution_context())

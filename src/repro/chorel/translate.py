@@ -403,14 +403,11 @@ class TranslatingChorelEngine:
 
     def __init__(self, doem: DOEMDatabase, name: str | None = None,
                  polling_times: dict[int, Timestamp] | None = None, *,
-                 use_planner: bool = True,
-                 batch_size: int | None = None) -> None:
+                 use_planner: bool = True) -> None:
         self.doem = doem
         self.encoded: EncodedDOEM = encode_doem(doem)
         entry = name or doem.graph.root
-        self.lorel = LorelEngine(self.encoded.oem, name=entry,
-                                 batch_size=batch_size)
-        self.batch_size = self.lorel.batch_size
+        self.lorel = LorelEngine(self.encoded.oem, name=entry)
         # The native normalizer is reused so both backends agree.
         self._normalizer = Evaluator(OEMView(self.encoded.oem,
                                              {entry: self.encoded.oem.root}))
@@ -493,7 +490,7 @@ class TranslatingChorelEngine:
         return compiled
 
     def _compile(self, query: str | Query):
-        """Compile without touching ``last_compiled`` (worker-thread safe)."""
+        """Compile without touching ``last_compiled``."""
         from ..plan import CompileContext, compile_query
         translation = self.translate(query)
         evaluator = self.lorel._evaluator
@@ -504,35 +501,17 @@ class TranslatingChorelEngine:
         compiled.translation = translation
         return compiled
 
-    def execute(self, compiled, *, pool=None, min_shard_size: int = 1,
-                parallel_metrics=None,
-                analyze: bool = False) -> QueryResult:
+    def execute(self, compiled, *, analyze: bool = False) -> QueryResult:
         """Run a compiled translation through the physical operators.
 
         ``analyze=True`` instruments the translated Lorel plan (identical
         rows) and leaves the stats on ``compiled.runtime``.
         """
-        from ..plan import ExecutionContext, insert_exchange, run_compiled
+        from ..plan import ExecutionContext, run_compiled
         ctx = ExecutionContext(evaluator=self.lorel._evaluator,
-                               base_env=self._base_env(), pool=pool,
-                               min_shard_size=min_shard_size,
-                               parallel_metrics=parallel_metrics,
-                               batch_size=self.batch_size)
-        root = compiled.root
-        if pool is not None:
-            exchanged = insert_exchange(root)
-            if exchanged is not None:
-                raw = run_compiled(compiled, exchanged, ctx, self,
-                                   analyze=analyze)
-            else:
-                if parallel_metrics is not None:
-                    parallel_metrics["serial_queries"].inc()
-                raw = run_compiled(compiled, root, ctx, self,
-                                   analyze=analyze)
-        else:
-            with span("lorel.eval"):
-                raw = run_compiled(compiled, root, ctx, self,
-                                   analyze=analyze)
+                               base_env=self._base_env())
+        with span("lorel.eval"):
+            raw = run_compiled(compiled, ctx, self, analyze=analyze)
         return self._postprocess(raw, compiled.translation)
 
     def _base_env(self) -> dict:
@@ -555,9 +534,3 @@ class TranslatingChorelEngine:
                     items.append((label, value))
             result.add(Row(tuple(items)))
         return result
-
-    def run_many(self, queries, *, pool=None,
-                 max_workers: int | None = None) -> list[QueryResult]:
-        """Evaluate a batch of queries concurrently; results in input order."""
-        from ..parallel.executor import run_many as _run_many
-        return _run_many(self, queries, pool=pool, max_workers=max_workers)

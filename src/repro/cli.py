@@ -22,8 +22,8 @@ Subcommands (``python -m repro <cmd> --help`` for details):
   artifacts;
 * ``analyze QUERY``            -- EXPLAIN ANALYZE: execute the query and
   print the physical plan tree with per-operator runtime stats (rows
-  in/out, batches, wall time, estimated-vs-actual cardinality, shard
-  fan-out, vectorized/fallback predicate counts); same ``--store`` /
+  in/out, batches, wall time, estimated-vs-actual cardinality,
+  vectorized/fallback predicate counts); same ``--store`` /
   ``--db`` / ``--backend`` selection as ``explain``;
 * ``store init|demo|info|fsck|checkpoint|compact`` -- manage a durable
   change-log store (:mod:`repro.store`): create one, persist the demo

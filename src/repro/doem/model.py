@@ -84,15 +84,6 @@ class DOEMDatabase:
         self._listeners = [ref for ref in self._listeners
                            if ref() is not None and ref() is not listener]
 
-    def __getstate__(self) -> dict:
-        # Listeners are weakly-held process-local structures (attached
-        # indexes, caches); a pickled replica -- e.g. an evaluator shipped
-        # to a process-pool worker -- starts with none and re-attaches
-        # its own if it needs them.
-        state = dict(self.__dict__)
-        state["_listeners"] = []
-        return state
-
     def _notify(self, subject_kind: str, subject: object,
                 annotation: Annotation) -> None:
         live: list[weakref.ref] = []

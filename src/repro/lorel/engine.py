@@ -21,7 +21,6 @@ from ..plan import (
     CompiledPlan,
     ExecutionContext,
     compile_query,
-    insert_exchange,
     run_compiled,
 )
 from .ast import Query
@@ -44,25 +43,15 @@ class LorelEngine:
     ``use_planner=False`` routes ``run`` through the legacy single-pass
     evaluator instead of the compile/execute pipeline (the differential
     oracle; identical rows, in identical order).
-
-    ``batch_size`` selects the physical execution model: positive widths
-    run the batched operators (the default,
-    :data:`repro.plan.batch.DEFAULT_BATCH_SIZE` rows per batch), ``0``
-    the per-environment iterator model.  Rows and order are identical
-    either way.
     """
 
     def __init__(self, db: OEMDatabase, name: str | None = None, *,
-                 use_planner: bool = True,
-                 batch_size: int | None = None) -> None:
+                 use_planner: bool = True) -> None:
         self.db = db
         names = {name or db.root: db.root}
         self.view = OEMView(db, names)
         self._evaluator = Evaluator(self.view)
         self.use_planner = use_planner
-        from ..plan.batch import DEFAULT_BATCH_SIZE
-        self.batch_size = DEFAULT_BATCH_SIZE if batch_size is None \
-            else batch_size
         self.last_profile = None
         self.last_compiled: CompiledPlan | None = None
 
@@ -85,37 +74,21 @@ class LorelEngine:
         return compiled
 
     def _compile(self, query: Query) -> CompiledPlan:
-        """Compile without touching ``last_compiled`` (worker-thread safe)."""
+        """Compile without touching ``last_compiled``."""
         context = CompileContext(evaluator=self._evaluator, view=self.view)
         return compile_query(query, self._evaluator, context=context)
 
-    def execute(self, compiled: CompiledPlan, *, pool=None,
-                min_shard_size: int = 1,
-                parallel_metrics=None,
+    def execute(self, compiled: CompiledPlan, *,
                 analyze: bool = False) -> QueryResult:
         """Run a compiled plan through the physical operators.
 
-        ``pool`` (set by the parallel executor) shards the plan behind an
-        ``Exchange`` operator when it has a from clause to shard along.
         ``analyze=True`` attaches per-operator runtime accounting
         (identical rows) and leaves the stats on ``compiled.runtime``.
         """
-        root = compiled.root
         ctx = ExecutionContext(evaluator=self._evaluator,
-                               base_env=self._base_env(), pool=pool,
-                               min_shard_size=min_shard_size,
-                               parallel_metrics=parallel_metrics,
-                               batch_size=self.batch_size)
-        if pool is not None:
-            exchanged = insert_exchange(root)
-            if exchanged is not None:
-                return run_compiled(compiled, exchanged, ctx, self,
-                                    analyze=analyze)
-            if parallel_metrics is not None:
-                parallel_metrics["serial_queries"].inc()
-            return run_compiled(compiled, root, ctx, self, analyze=analyze)
+                               base_env=self._base_env())
         with span("lorel.eval"):
-            return run_compiled(compiled, root, ctx, self, analyze=analyze)
+            return run_compiled(compiled, ctx, self, analyze=analyze)
 
     # -- entry points ----------------------------------------------------
 
@@ -156,14 +129,3 @@ class LorelEngine:
     def _base_env(self) -> dict:
         """Ambient bindings every evaluation starts from (none for Lorel)."""
         return {}
-
-    def run_many(self, queries, *, pool=None,
-                 max_workers: int | None = None) -> list[QueryResult]:
-        """Evaluate a batch of queries concurrently; results in input order.
-
-        Row-for-row equivalent to ``[self.run(q) for q in queries]``, but
-        parsing and index acquisition happen once and the evaluations fan
-        out to a worker pool (see :mod:`repro.parallel`).
-        """
-        from ..parallel.executor import run_many as _run_many
-        return _run_many(self, queries, pool=pool, max_workers=max_workers)

@@ -28,8 +28,8 @@ The staged public API (:meth:`Evaluator.prepare`,
 :meth:`Evaluator.satisfies`, :meth:`Evaluator.make_row` /
 :meth:`Evaluator.project_row`) doubles as the kernel set of the query
 planner's physical operators (:mod:`repro.plan.physical`): ``PathExpand``
-wraps ``bind_from_item``, ``Predicate`` wraps ``solve``, ``Project``
-wraps ``project_row``.  :meth:`Evaluator.run` remains the single-pass
+wraps ``bind_from_item_batch``, ``Predicate`` wraps ``solve``,
+``Project`` wraps ``project_row``.  :meth:`Evaluator.run` remains the single-pass
 legacy path -- engines keep it reachable via ``use_planner=False`` as the
 differential oracle the equivalence suites compare against.
 """
@@ -768,10 +768,7 @@ class Evaluator:
 
         Returns ``(normalized query, result labels, base environment)``
         -- the inputs :meth:`from_envs`, :meth:`satisfies`, and
-        :meth:`make_row` consume.  The parallel execution layer
-        (:mod:`repro.parallel`) prepares once on the coordinating thread
-        and fans the enumeration out over shards of the first from-item's
-        bindings.
+        :meth:`make_row` consume (the planner's compiler calls it too).
         """
         base_env: Env = dict(env) if env else {}
         normalized = self.normalize(query)

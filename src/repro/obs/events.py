@@ -14,11 +14,9 @@ type                      level    emitted by
                                    executed query: fingerprint, rows, wall
                                    seconds, engine)
 ``rule_fired``            debug    :class:`repro.plan.rules.PassManager`
-``shard_dispatched``      debug    the ``Exchange`` operator (thread or process)
 ``poll_timeout``          warning  :class:`repro.qss.server.QSSServer`
 ``slow_poll``             warning  :class:`repro.qss.server.QSSServer`
 ``cache_eviction``        info     :class:`repro.doem.snapshot.SnapshotCache`
-``worker_crash``          error    :class:`repro.parallel.pool.WorkerPool`
 ``checkpoint_written``    info     :class:`repro.store.HistoryLog` (one per
                                    materialized snapshot checkpoint)
 ``store_recovered``       warning  :class:`repro.store.HistoryLog` (torn tail
@@ -33,7 +31,7 @@ PATH ...``), or via the environment::
 
     REPRO_EVENTS=/var/log/repro/events.jsonl   # path ("-" = stderr)
     REPRO_EVENTS_LEVEL=debug                   # min level (default info)
-    REPRO_EVENTS_SAMPLE=rule_fired=10,shard_dispatched=25
+    REPRO_EVENTS_SAMPLE=rule_fired=10,query_compiled=25
     REPRO_EVENTS_MAX_BYTES=8388608             # rotation threshold
 
 **Rotation** is size-based: when the sink file exceeds ``max_bytes``
@@ -42,11 +40,10 @@ dropped).  **Sampling** is deterministic and per event type: ``N`` keeps
 every N-th event of that type (``0`` drops the type entirely), so two
 runs of the same workload log the same lines.
 
-Worker processes forked by a process pool inherit the configured sink;
-each line is written in one append-mode ``write`` call, so concurrent
-lines from shard workers interleave whole, never torn.  Rotation is left
-to the parent process (workers write, but only the configuring process
-rotates) to keep the rename race-free.
+Each line is written in one append-mode ``write`` call, so lines from
+concurrent threads -- or from a forked child that inherited the sink --
+interleave whole, never torn.  Only the configuring process rotates,
+which keeps the rename race-free.
 """
 
 from __future__ import annotations
@@ -75,7 +72,7 @@ ENV_MAX_BYTES = "REPRO_EVENTS_MAX_BYTES"
 
 
 def _parse_sample_spec(spec: str) -> dict[str, int]:
-    """``"rule_fired=10,shard_dispatched=0"`` -> ``{type: keep_1_in_n}``."""
+    """``"rule_fired=10,query_compiled=0"`` -> ``{type: keep_1_in_n}``."""
     sample: dict[str, int] = {}
     for part in spec.split(","):
         part = part.strip()
@@ -188,7 +185,7 @@ class EventLog:
         if self._bytes <= self.max_bytes:
             return
         if self._stream is sys.stderr or os.getpid() != self._owner_pid:
-            return  # stderr never rotates; forked workers never rotate
+            return  # stderr never rotates; forked children never rotate
         self._stream.close()
         if self.backups == 0:
             try:

@@ -127,7 +127,6 @@ class QueryRecord:
     compile_seconds: float
     execute_seconds: float
     rules_fired: tuple[str, ...] = ()
-    shards: int = 0
     indexed: bool = False
     analyzed: bool = False
     attribution: dict = field(default_factory=dict)
@@ -147,7 +146,6 @@ class QueryRecord:
             "compile_seconds": round(self.compile_seconds, 6),
             "execute_seconds": round(self.execute_seconds, 6),
             "rules_fired": list(self.rules_fired),
-            "shards": self.shards,
             "indexed": self.indexed,
             "analyzed": self.analyzed,
         }
@@ -325,7 +323,7 @@ def configure_query_log(capacity: int = DEFAULT_CAPACITY, *,
 
 
 def record_engine_query(engine, compiled, result, execute_seconds: float, *,
-                        shards: int = 0, plan_stats=None) -> QueryRecord:
+                        plan_stats=None) -> QueryRecord:
     """Build and record the :class:`QueryRecord` for one engine execution.
 
     Called by every engine facade after ``execute_plan``; ``plan_stats``
@@ -347,7 +345,6 @@ def record_engine_query(engine, compiled, result, execute_seconds: float, *,
         compile_seconds=compiled.compile_seconds,
         execute_seconds=execute_seconds,
         rules_fired=tuple(r.name for r in compiled.passes if r.fired),
-        shards=shards,
         indexed=compiled.is_indexed,
         analyzed=plan_stats is not None,
     )

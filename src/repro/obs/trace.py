@@ -157,8 +157,7 @@ class Tracer:
     thread nest among themselves and land in ``roots`` as their own
     trees, never splicing into another thread's hierarchy.  ``roots`` is
     appended to under the GIL's list-append atomicity, so concurrent
-    workers (the parallel query executor, the QSS poll pool) can trace
-    safely; ``clear`` drops the calling thread's open spans only.
+    workers (the QSS poll pool) can trace safely; ``clear`` drops the calling thread's open spans only.
     """
 
     def __init__(self, enabled: bool = False) -> None:
@@ -210,18 +209,6 @@ class Tracer:
         finally:
             if stack and stack[-1] is parent:
                 stack.pop()
-
-    def adopt(self, children, parent: Span | None = None) -> None:
-        """Attach already-built spans (e.g. deserialized from a worker
-        process) under ``parent``, the current span, or ``roots``."""
-        children = list(children)
-        if not children:
-            return
-        target = parent if parent is not None else self.current_span()
-        if target is not None:
-            target.children.extend(children)
-        else:
-            self.roots.extend(children)
 
     def clear(self) -> None:
         """Drop every recorded span (open spans are abandoned too)."""

@@ -1,32 +1,15 @@
-"""Parallel query execution and concurrent fan-out primitives.
+"""The bounded worker pool behind concurrent QSS source polling.
 
-``repro.parallel`` layers workers on top of the serial engines without
-changing what they compute: :class:`ParallelExecutor` shards a single
-query along its first path-expression step and batches many queries over
-one shared acquisition (``engine.run_many``), both with deterministic
-merges that keep results row- and order-identical to serial evaluation.
-:class:`WorkerPool` is the shared bounded pool (also used by the QSS
-server's concurrent polling) -- threads by default, or
-``kind="process"`` / ``ParallelExecutor(processes=True)`` for CPU-bound
-shards that must overlap on real cores; :mod:`repro.parallel.sharding`
-holds the contiguous-chunk partitioner the determinism argument rests
-on.  See ``docs/parallel.md`` for the thread-safety contract.
+:class:`WorkerPool` is a thread pool with registry-backed utilization
+metrics; the QSS server fans each poll tick's source calls out over one
+(``QSSServer(max_poll_workers=, poll_timeout=)``).  Query evaluation is
+serial -- see ``docs/parallel.md`` for the thread-safety contract the
+concurrent polls rely on.
 """
 
-from .executor import ParallelExecutor, parallel_run, run_many
-from .pool import WorkerPool, default_pool, default_worker_count, \
-    worker_evaluator
-from .sharding import chunk_evenly, chunk_fixed, shard_count
+from .pool import WorkerPool, default_worker_count
 
 __all__ = [
-    "ParallelExecutor",
-    "parallel_run",
-    "run_many",
     "WorkerPool",
-    "default_pool",
     "default_worker_count",
-    "worker_evaluator",
-    "chunk_evenly",
-    "chunk_fixed",
-    "shard_count",
 ]

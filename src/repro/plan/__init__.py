@@ -3,8 +3,8 @@
 Three stages (see ``docs/query-planner.md``):
 
 1. **Logical IR** (:mod:`repro.plan.ir`): ``Scan`` / ``PathExpand`` /
-   ``AnnotationFilter`` / ``Predicate`` / ``Project`` / ``Exchange``
-   plus the cross-time trio ``TimeRangeScan`` / ``DeltaProject`` /
+   ``AnnotationFilter`` / ``Predicate`` / ``Project`` plus the
+   cross-time trio ``TimeRangeScan`` / ``DeltaProject`` /
    ``VersionJoin``, lowered from the normalized Lorel/Chorel AST
    (:mod:`repro.plan.lowering`).
 2. **Rewrite passes** (:mod:`repro.plan.rules`): a rule-based
@@ -12,12 +12,11 @@ Three stages (see ``docs/query-planner.md``):
    time-range strategy selection, annotation-literal pushdown, index
    selection, and predicate reordering -- each with its own trace span
    and fired counter.
-3. **Physical operators** (:mod:`repro.plan.physical`): a batched
-   operator model (:mod:`repro.plan.batch`) whose kernels are the
-   evaluator's staged methods -- with a per-environment iterator model
-   retained at ``batch_size=0`` -- plus the annotation-index scan, the
+3. **Physical operators** (:mod:`repro.plan.physical`): batched
+   operators (:mod:`repro.plan.batch`) whose kernels are the
+   evaluator's staged methods, plus the annotation-index scan and the
    range kernel (merged index scans or checkpoint-anchored history
-   replay), and the sharding ``Exchange``.
+   replay).
 
 Engines call :func:`compile_query` then :func:`execute_plan`; the
 :class:`CompiledPlan` in between is what ``repro explain`` renders.
@@ -35,7 +34,6 @@ from .compiler import CompiledPlan, compile_query
 from .ir import (
     AnnotationFilter,
     DeltaProject,
-    Exchange,
     LogicalNode,
     PathExpand,
     Predicate,
@@ -51,7 +49,6 @@ from .physical import (
     execute_index_plan,
     execute_plan,
     execute_range_plan,
-    insert_exchange,
     run_compiled,
 )
 from .rules import (
@@ -79,7 +76,6 @@ __all__ = [
     "EnvBatch",
     "compile_predicate",
     "EngineStats",
-    "Exchange",
     "ExecutionContext",
     "IndexPlan",
     "IndexSelection",
@@ -105,7 +101,6 @@ __all__ = [
     "execute_index_plan",
     "execute_plan",
     "execute_range_plan",
-    "insert_exchange",
     "lower",
     "plan_fingerprint",
     "render",

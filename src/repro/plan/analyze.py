@@ -15,12 +15,7 @@ physical operators wrap their streams so every node accounts:
   own work plus its inputs' (subtract the children to get self time);
 * **vectorized vs. fallback predicate rows** -- how many rows the
   compiled closure judged versus how many fell back to the general
-  solver (:func:`~repro.plan.batch.filter_rows` reports the split);
-* **Exchange shard stats** -- detached stage nodes run on pool workers;
-  each shard fills a :class:`StageRecorder` whose payload rides back
-  beside the rows (through the :mod:`repro.obs.propagation` telemetry
-  payload for process pools) and merges into the coordinator's tree, so
-  a sharded ANALYZE shows the same per-operator row totals as serial.
+  solver (:func:`~repro.plan.batch.filter_rows` reports the split).
 
 **Cardinality feedback** closes the loop: every node carries an
 ``est_rows`` estimate -- a deterministic heuristic on first sight, the
@@ -43,7 +38,6 @@ from typing import Iterator, Optional
 from .ir import (
     AnnotationFilter,
     DeltaProject,
-    Exchange,
     LogicalNode,
     PathExpand,
     Predicate,
@@ -53,7 +47,7 @@ from .ir import (
     VersionJoin,
 )
 
-__all__ = ["OpStats", "PlanStats", "StageRecorder", "CardinalityFeedback",
+__all__ = ["OpStats", "PlanStats", "CardinalityFeedback",
            "cardinality_feedback", "estimate_rows", "plan_fingerprint"]
 
 # Deterministic first-sight heuristics: a path step fans out, a
@@ -93,8 +87,6 @@ class OpStats:
     wall_seconds: float = 0.0
     est_rows: Optional[int] = None
     est_source: str = "heuristic"
-    shards: int = 0
-    detached: bool = False  # an Exchange stage, fed by shard payloads
     pred_counts: dict = field(
         default_factory=lambda: {"vectorized": 0, "fallback": 0})
 
@@ -125,31 +117,9 @@ class OpStats:
             "wall_seconds": round(self.wall_seconds, 6),
             "est_rows": self.est_rows,
             "est_source": self.est_source,
-            "shards": self.shards,
-            "detached": self.detached,
             "vectorized_rows": self.vectorized_rows,
             "fallback_rows": self.fallback_rows,
         }
-
-
-class StageRecorder:
-    """Per-shard accounting for detached Exchange stages.
-
-    One plain dict per stage index -- picklable, so a process-pool shard
-    ships it back inside the telemetry payload
-    (:func:`repro.obs.propagation.attach_stage_stats`).  The coordinator
-    folds every shard's recorder into the stage nodes' :class:`OpStats`
-    (:meth:`PlanStats.merge_stage_payload`); row counts sum across
-    shards, wall seconds sum to *CPU* seconds (shards overlap, so stage
-    time can exceed the Exchange's wall clock).
-    """
-
-    __slots__ = ("stages",)
-
-    def __init__(self, count: int) -> None:
-        self.stages = [{"rows_in": 0, "rows_out": 0, "wall_seconds": 0.0,
-                        "vectorized": 0, "fallback": 0}
-                       for _ in range(count)]
 
 
 def estimate_rows(root: LogicalNode) -> dict[int, int]:
@@ -163,11 +133,9 @@ def _estimate(node: LogicalNode, assign: dict[int, int]) -> int:
     if isinstance(node, Scan):
         est = 1
     elif isinstance(node, PathExpand):
-        child = _estimate(node.child, assign) if node.child is not None else 1
-        est = child * PATH_FANOUT
+        est = _estimate(node.child, assign) * PATH_FANOUT
     elif isinstance(node, Predicate):
-        child = _estimate(node.child, assign) if node.child is not None else 1
-        est = max(1, child // PREDICATE_KEEP)
+        est = max(1, _estimate(node.child, assign) // PREDICATE_KEEP)
     elif isinstance(node, Project):
         est = _estimate(node.child, assign) if node.child is not None else 1
     elif isinstance(node, AnnotationFilter):
@@ -177,14 +145,6 @@ def _estimate(node: LogicalNode, assign: dict[int, int]) -> int:
     elif isinstance(node, (DeltaProject, VersionJoin)):
         child = _estimate(node.child, assign) if node.child is not None else 1
         est = max(1, child // PREDICATE_KEEP)
-    elif isinstance(node, Exchange):
-        est = _estimate(node.child, assign)
-        for stage in node.stages:
-            if isinstance(stage, PathExpand):
-                est = est * PATH_FANOUT
-            elif isinstance(stage, Predicate):
-                est = max(1, est // PREDICATE_KEEP)
-            assign[id(stage)] = est
     else:  # pragma: no cover - lowering only builds the nodes above
         est = 1
     assign[id(node)] = est
@@ -196,9 +156,9 @@ class CardinalityFeedback:
 
     ``record`` stores the preorder ``rows_out`` vector of an analyzed
     execution; ``lookup`` returns it for the next compile of the same
-    fingerprint *and* executed tree shape (serial and Exchange-rewritten
-    trees are distinct shapes, so a sharded run never mis-seeds a serial
-    estimate).  Bounded LRU -- old fingerprints age out.
+    fingerprint *and* optimized tree shape (rewrite passes can change
+    the shape a fingerprint executes as, so a stale vector never seeds
+    a mismatched tree).  Bounded LRU -- old fingerprints age out.
     """
 
     def __init__(self, capacity: int = 256) -> None:
@@ -245,10 +205,9 @@ def cardinality_feedback() -> CardinalityFeedback:
 class PlanStats:
     """The runtime stats tree for one analyzed execution.
 
-    Built over the *executed* root (after any ``insert_exchange``
-    rewrite), with one :class:`OpStats` per node in preorder; the
-    physical operators call the ``observe_*`` wrappers when
-    ``ctx.stats`` is set.  ``finalize`` records the actuals into the
+    Built over the executed root, with one :class:`OpStats` per node in
+    preorder; the physical operators call the ``observe_*`` wrappers
+    when ``ctx.stats`` is set.  ``finalize`` records the actuals into the
     feedback store; ``render`` is the annotated ANALYZE tree.
     """
 
@@ -280,9 +239,6 @@ class PlanStats:
         self._by_node[id(node)] = op
         for child in node.children():
             self._build(child, depth + 1)
-        if isinstance(node, Exchange):
-            for stage in node.stages:
-                self._by_node[id(stage)].detached = True
 
     # -- lookups ---------------------------------------------------------
 
@@ -314,24 +270,6 @@ class PlanStats:
                 yield batch
         return wrapped()
 
-    def observe_envs(self, node: LogicalNode, stream) -> Iterator:
-        """Batch-less variant: each element is one environment row."""
-        op = self._by_node[id(node)]
-
-        def wrapped():
-            iterator = iter(stream)
-            while True:
-                started = perf_counter()
-                try:
-                    env = next(iterator)
-                except StopIteration:
-                    op.wall_seconds += perf_counter() - started
-                    return
-                op.wall_seconds += perf_counter() - started
-                op.rows_out += 1
-                yield env
-        return wrapped()
-
     def observe_input(self, node: LogicalNode, stream) -> Iterator:
         """Wrap a node's *input* batch stream: rows/batches in."""
         op = self._by_node[id(node)]
@@ -343,33 +281,9 @@ class PlanStats:
                 yield batch
         return wrapped()
 
-    def observe_input_envs(self, node: LogicalNode, stream) -> Iterator:
-        op = self._by_node[id(node)]
-
-        def wrapped():
-            for env in stream:
-                op.rows_in += 1
-                yield env
-        return wrapped()
-
     def predicate_counts(self, node: LogicalNode) -> dict:
         """The mutable vectorized/fallback tally ``filter_rows`` fills."""
         return self._by_node[id(node)].pred_counts
-
-    # -- shard merging ----------------------------------------------------
-
-    def merge_stage_payload(self, exchange: Exchange,
-                            payload: list[dict] | None) -> None:
-        """Fold one shard's :class:`StageRecorder` payload into the tree."""
-        if not payload:
-            return
-        for stage, rec in zip(exchange.stages, payload):
-            op = self._by_node[id(stage)]
-            op.rows_in += rec.get("rows_in", 0)
-            op.rows_out += rec.get("rows_out", 0)
-            op.wall_seconds += rec.get("wall_seconds", 0.0)
-            op.pred_counts["vectorized"] += rec.get("vectorized", 0)
-            op.pred_counts["fallback"] += rec.get("fallback", 0)
 
     # -- finishing --------------------------------------------------------
 
@@ -407,8 +321,6 @@ class PlanStats:
             if op.est_rows is not None:
                 tag = "est" if op.est_source == "heuristic" else "est*"
                 parts.append(f"{tag} {op.est_rows}")
-            if op.shards:
-                parts.append(f"shards {op.shards}")
             if op.vectorized_rows or op.fallback_rows:
                 parts.append(f"vectorized {op.vectorized_rows}"
                              f"/fallback {op.fallback_rows}")

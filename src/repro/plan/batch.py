@@ -1,11 +1,9 @@
-"""Environment batches: the unit of work of the batched physical operators.
+"""Environment batches: the unit of work of the physical operators.
 
-The iterator execution model streams environments one at a time through
-nested generators; profiling showed the generator plumbing itself -- one
-frame resume per environment per operator -- dominating the hot path, and
-the sharding ``Exchange`` paying that plumbing again per shard *plus*
-per-task submission overhead for tiny work units.  The batched model
-moves whole :class:`EnvBatch` lists between operators instead:
+Streaming environments one at a time through nested generators made the
+generator plumbing itself -- one frame resume per environment per
+operator -- dominate the hot path.  The physical operators move whole
+:class:`EnvBatch` lists between them instead:
 
 * ``PathExpand`` advances an entire batch through its path with a
   frontier traversal (:meth:`repro.lorel.eval.Evaluator.
@@ -15,48 +13,62 @@ moves whole :class:`EnvBatch` lists between operators instead:
   compiled once per operator into a plain-Python closure
   (:func:`compile_predicate`) and applied row by row in a single loop,
   falling back to the evaluator's general ``solve`` only for rows (or
-  condition shapes) the closure cannot serve;
-* ``Exchange`` ships whole batches to pool workers, so each submitted
-  task amortizes its scheduling (and, for process pools, pickling) cost
-  over hundreds of rows.
+  condition shapes) the closure cannot serve.
 
-Batches are sized by ``ExecutionContext.batch_size``
-(:data:`DEFAULT_BATCH_SIZE` rows unless the engine overrides it); every
-batch an operator emits is observed in the ``repro.plan.batch_rows``
+Batches are :data:`DEFAULT_BATCH_SIZE` rows wide; every batch the
+``Project`` root consumes is observed in the ``repro.plan.batch_rows``
 histogram so a metrics dump shows the actual batch-size distribution.
 
 Equivalence contract: all operators are per-row independent and
-order-preserving, so results are row- and order-identical to the
-iterator model and the legacy evaluator for **any** batch size -- the
-hypothesis suite in ``tests/plan/test_batched_equivalence.py`` pins this
-across engines, batch sizes, and shard widths.
+order-preserving, so results are row- and order-identical to the legacy
+evaluator for **any** batch width -- the hypothesis suite in
+``tests/plan/test_batched_equivalence.py`` pins this across engines and
+widths by sweeping :data:`DEFAULT_BATCH_SIZE`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from ..lorel.ast import And, Comparison, Condition, LikeCond, Literal, \
     Not, Or, TimeVar, VarRef
 from ..obs.metrics import registry as metrics_registry
 from ..oem.values import like
-from ..parallel.sharding import chunk_fixed
 
 __all__ = ["EnvBatch", "DEFAULT_BATCH_SIZE", "BATCH_ROWS_METRIC",
-           "batch_rows_histogram", "compile_predicate", "filter_rows"]
+           "batch_rows_histogram", "chunk_fixed", "compile_predicate",
+           "filter_rows"]
 
 DEFAULT_BATCH_SIZE = 256
-"""Default operator batch width (rows).
+"""Operator batch width (rows).
 
 Large enough that per-batch overhead (one histogram observation, one
-pool submission under Exchange) is noise against per-row work; small
-enough that pipelined memory stays bounded and shards split evenly.
+generator resume per operator) is noise against per-row work; small
+enough that pipelined memory stays bounded.  The operators read it at
+execution time, so the equivalence suite sweeps widths by rebinding it.
 ``docs/batched-execution.md`` discusses tuning.
 """
 
 BATCH_ROWS_METRIC = "repro.plan.batch_rows"
 
 _BATCH_BUCKETS = (1, 4, 16, 64, 256, 1024, 4096, 16384)
+
+
+T = TypeVar("T")
+
+
+def chunk_fixed(items: Sequence[T], size: int) -> list[list[T]]:
+    """Split ``items`` into contiguous runs of exactly ``size`` rows
+    (the last run may be shorter).
+
+    Concatenating the chunks replays the input exactly, so re-chunking
+    never changes row order.
+    """
+    if size < 1:
+        raise ValueError("need a positive chunk size")
+    items = list(items)
+    return [items[start:start + size]
+            for start in range(0, len(items), size)]
 
 
 def batch_rows_histogram():

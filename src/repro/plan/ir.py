@@ -1,6 +1,6 @@
 """The logical plan IR: a small algebra lowered from the Lorel/Chorel AST.
 
-Nine node kinds cover every query the engines accept:
+Eight node kinds cover every query the engines accept:
 
 * :class:`Scan` -- the ambient environment (database names, polling
   times, trigger pre-bindings); the leaf every chain starts from.
@@ -13,10 +13,6 @@ Nine node kinds cover every query the engines accept:
 * :class:`AnnotationFilter` -- the index-selection rewrite's terminal
   node: answer the whole query from a timestamp-index scan described by
   an :class:`~repro.plan.stats.IndexPlan`.
-* :class:`Exchange` -- the parallel boundary: materialize the source
-  chain's environments, cut them into contiguous shards, and run the
-  detached ``stages`` on pool workers, concatenating in shard order (the
-  merge discipline that keeps sharded results order-identical to serial).
 * :class:`TimeRangeScan` -- the cross-time source leaf: enumerate the
   change events of a :class:`~repro.plan.stats.RangePlan`'s interval,
   either by merged timestamp-index scans or by checkpoint-anchored
@@ -47,7 +43,7 @@ from .stats import IndexPlan, RangePlan
 
 __all__ = ["LogicalNode", "Scan", "PathExpand", "Predicate", "Project",
            "AnnotationFilter", "TimeRangeScan", "DeltaProject",
-           "VersionJoin", "Exchange", "render"]
+           "VersionJoin", "render"]
 
 
 class LogicalNode:
@@ -70,17 +66,13 @@ class Scan(LogicalNode):
 
 @dataclass(frozen=True)
 class PathExpand(LogicalNode):
-    """Extend each incoming environment along one from-item's path.
-
-    ``child`` is ``None`` when the node rides inside an
-    :class:`Exchange` as a detached shard stage.
-    """
+    """Extend each incoming environment along one from-item's path."""
 
     item: FromItem
-    child: Optional[LogicalNode] = None
+    child: LogicalNode
 
     def children(self) -> tuple[LogicalNode, ...]:
-        return (self.child,) if self.child is not None else ()
+        return (self.child,)
 
     def describe(self) -> str:
         return f"PathExpand {self.item}"
@@ -91,10 +83,10 @@ class Predicate(LogicalNode):
     """Keep environments with at least one solution to the condition."""
 
     condition: Condition
-    child: Optional[LogicalNode] = None
+    child: LogicalNode
 
     def children(self) -> tuple[LogicalNode, ...]:
-        return (self.child,) if self.child is not None else ()
+        return (self.child,)
 
     def describe(self) -> str:
         return f"Predicate {self.condition}"
@@ -202,26 +194,6 @@ class VersionJoin(LogicalNode):
     def describe(self) -> str:
         path = ".".join((self.plan.root_name,) + self.plan.labels)
         return f"VersionJoin {path}"
-
-
-@dataclass(frozen=True)
-class Exchange(LogicalNode):
-    """The parallel boundary between serial binding and sharded stages.
-
-    ``child`` is the source chain (the first :class:`PathExpand` over
-    :class:`Scan`), bound serially on the coordinating thread; ``stages``
-    are detached :class:`PathExpand`/:class:`Predicate` nodes each shard
-    applies in order on a pool worker.
-    """
-
-    child: LogicalNode
-    stages: tuple[LogicalNode, ...] = ()
-
-    def children(self) -> tuple[LogicalNode, ...]:
-        return (self.child,) + self.stages
-
-    def describe(self) -> str:
-        return f"Exchange stages={len(self.stages)}"
 
 
 def render(root: LogicalNode, indent: str = "") -> str:

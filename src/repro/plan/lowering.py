@@ -11,7 +11,7 @@ annotations are canonical.  The translation is then direct::
 
 so the logical tree is a straight chain that mirrors the evaluator's
 depth-first enumeration order -- the property the rewrite passes and the
-``Exchange`` operator must preserve for planned results to stay row- and
+batched operators must preserve for planned results to stay row- and
 order-identical to the legacy evaluator.
 """
 

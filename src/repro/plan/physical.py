@@ -1,86 +1,59 @@
-"""Physical operators: batched and iterator execution over logical plans.
+"""Physical operators: batched execution over logical plans.
 
-The primary execution model is **batched**: each logical node maps to a
-transformer over :class:`~repro.plan.batch.EnvBatch` lists of environment
-dicts.  ``PathExpand`` advances a whole batch with the evaluator's
-frontier kernel (:meth:`~repro.lorel.eval.Evaluator.bind_from_item_batch`),
+Each logical node maps to a transformer over
+:class:`~repro.plan.batch.EnvBatch` lists of environment dicts.
+``PathExpand`` advances a whole batch with the evaluator's frontier
+kernel (:meth:`~repro.lorel.eval.Evaluator.bind_from_item_batch`) and
 ``Predicate`` compiles its condition once and filters vectorized
-(:func:`~repro.plan.batch.compile_predicate`), and ``Exchange`` ships
-whole row lists to pool workers -- thread or process -- so sharding
-amortizes per-task overhead over hundreds of rows instead of paying
-generator plumbing per environment.
-
-The original environment-streaming iterator model is retained
-(``batch_size=0``): each node maps to a small generator composed exactly
-like the legacy evaluator's ``from_envs`` recursion.  Both models replay
-the same depth-first, data-ordered enumeration -- a batched frontier
+(:func:`~repro.plan.batch.compile_predicate`).  A batched frontier
 expands its rows in frontier order, producing the concatenation of the
-per-row depth-first enumerations -- which is what keeps all three paths
-(legacy, iterator, batched) row- and order-identical for any batch size
-or shard count (``tests/plan/test_batched_equivalence.py`` proves it).
+per-row depth-first enumerations the legacy evaluator's ``from_envs``
+recursion yields -- which keeps planned and legacy execution row- and
+order-identical for any batch width
+(``tests/plan/test_batched_equivalence.py`` proves it).  Batches are
+re-cut at :data:`~repro.plan.batch.DEFAULT_BATCH_SIZE` rows after every
+expansion.
 
 The operators delegate single-binding work to the evaluator's staged API
-(:meth:`~repro.lorel.eval.Evaluator.bind_from_item`,
+(:meth:`~repro.lorel.eval.Evaluator.bind_from_item_batch`,
 :meth:`~repro.lorel.eval.Evaluator.solve`,
 :meth:`~repro.lorel.eval.Evaluator.project_row`) -- those staging steps
 *are* the physical kernels; this module is the plumbing between them.
 
-Two operators do more than plumb:
-
-* :func:`execute_index_plan` -- the ``AnnotationFilter`` kernel: a
-  timestamp-index range scan with backward path verification (absorbed
-  from the pre-planner ``IndexedChorelEngine``).
-* the ``Exchange`` operator -- binds its source chain serially,
-  shards the environments contiguously, runs the detached stages on
-  pool workers, and concatenates in shard order.  Under a process pool
-  the shard task is the module-level :func:`run_stages_on_rows` driven by
-  the worker-global evaluator installed by the pool initializer
-  (:func:`repro.parallel.pool.worker_evaluator`), so nothing unpicklable
-  crosses the process boundary.
+One operator does more than plumb: :func:`execute_index_plan`, the
+``AnnotationFilter`` kernel -- a timestamp-index range scan with
+backward path verification, itself the degenerate case of the range
+kernel behind ``TimeRangeScan`` / ``DeltaProject`` / ``VersionJoin``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..lorel.ast import PathExpr
 from ..lorel.result import ObjectRef, QueryResult, Row
-from ..obs.events import emit_event
-from ..obs.propagation import (
-    attach_stage_stats,
-    capture_task_telemetry,
-    merge_task_telemetry,
-    pop_stage_stats,
-)
-from ..obs.trace import Span, get_tracer, span
 from ..timestamps import POS_INF, Timestamp
-from .analyze import StageRecorder
-from .batch import (
-    DEFAULT_BATCH_SIZE,
-    EnvBatch,
-    batch_rows_histogram,
-    compile_predicate,
-    filter_rows,
-)
+# The batch width is read as ``batching.DEFAULT_BATCH_SIZE`` at execution
+# time, so rebinding the module constant takes effect.
+from . import batch as batching
+from .batch import EnvBatch, batch_rows_histogram, compile_predicate, \
+    filter_rows
 from .ir import (
     AnnotationFilter,
     DeltaProject,
-    Exchange,
     LogicalNode,
     PathExpand,
     Predicate,
     Project,
     Scan,
-    TimeRangeScan,
     VersionJoin,
 )
 from .stats import TIME_LABELS, IndexPlan, RangePlan
 
 __all__ = ["ExecutionContext", "execute_plan", "execute_index_plan",
-           "execute_range_plan", "insert_exchange", "iter_envs",
-           "iter_batches", "run_stages_on_rows", "run_compiled"]
+           "execute_range_plan", "iter_batches", "run_compiled"]
 
 
 @dataclass
@@ -88,15 +61,10 @@ class ExecutionContext:
     """Everything the operators need from the engine at execution time.
 
     ``index``/``paths``/``doem`` are only set by the indexed engine (the
-    ``AnnotationFilter`` kernel needs them); ``pool`` and the parallel
-    knobs are only set when the :class:`~repro.parallel.executor.
-    ParallelExecutor` drives execution.  ``batch_size`` selects the
-    execution model: positive widths run the batched operators (the
-    default), ``0`` the per-environment iterator model.  ``stats`` is an
-    optional :class:`~repro.plan.analyze.PlanStats` collector (EXPLAIN
-    ANALYZE); when ``None`` -- the default -- every operator takes its
-    original uninstrumented path.  ``observed`` collects execution facts
-    the engine reads back afterwards (currently the shard fan-out).
+    ``AnnotationFilter`` kernel needs them).  ``stats`` is an optional
+    :class:`~repro.plan.analyze.PlanStats` collector (EXPLAIN ANALYZE);
+    when ``None`` -- the default -- every operator takes its
+    uninstrumented path.
     """
 
     evaluator: object
@@ -105,143 +73,7 @@ class ExecutionContext:
     paths: object = None
     doem: object = None
     log: object = None  # HistoryLog for checkpoint-replay, if attached
-    pool: object = None
-    min_shard_size: int = 1
-    parallel_metrics: object = None
-    batch_size: int = DEFAULT_BATCH_SIZE
     stats: object = None
-    observed: dict = field(default_factory=dict)
-
-
-# ---------------------------------------------------------------------------
-# Environment-streaming operators
-# ---------------------------------------------------------------------------
-
-def iter_envs(node: LogicalNode, ctx: ExecutionContext) -> Iterator[dict]:
-    """The environment stream a logical (sub)chain produces.
-
-    A thin dispatcher: when ``ctx.stats`` is attached (ANALYZE), the
-    node's output stream is wrapped so rows out and inclusive wall time
-    land in its :class:`~repro.plan.analyze.OpStats`; otherwise the raw
-    generator runs untouched.
-    """
-    stream = _node_envs(node, ctx)
-    if ctx.stats is not None:
-        stream = ctx.stats.observe_envs(node, stream)
-    return stream
-
-
-def _child_envs(parent: LogicalNode, ctx: ExecutionContext) -> Iterator[dict]:
-    """A node's input stream -- its child's output, counted as rows in."""
-    stream = iter_envs(parent.child, ctx)
-    if ctx.stats is not None:
-        stream = ctx.stats.observe_input_envs(parent, stream)
-    return stream
-
-
-def _node_envs(node: LogicalNode, ctx: ExecutionContext) -> Iterator[dict]:
-    if isinstance(node, Scan):
-        yield dict(ctx.base_env)
-    elif isinstance(node, PathExpand):
-        for env in _child_envs(node, ctx):
-            yield from ctx.evaluator.bind_from_item(node.item, env)
-    elif isinstance(node, Predicate):
-        evaluator = ctx.evaluator
-        # The iterator model never vectorizes: every judged row is a
-        # solver fallback in the ANALYZE accounting.
-        counts = (ctx.stats.predicate_counts(node)
-                  if ctx.stats is not None else None)
-        for env in _child_envs(node, ctx):
-            if counts is not None:
-                counts["fallback"] += 1
-            if next(evaluator.solve(node.condition, env), None) is not None:
-                yield env
-    elif isinstance(node, Exchange):
-        yield from _exchange_envs(node, ctx)
-    else:  # pragma: no cover - lowering only builds the nodes above
-        raise TypeError(f"cannot stream environments from {node!r}")
-
-
-def _apply_stages(stages, envs: Iterator[dict],
-                  ctx: ExecutionContext) -> Iterator[dict]:
-    """Run detached Exchange stages over an environment stream, in order."""
-    for stage in stages:
-        envs = _apply_stage(stage, envs, ctx)
-    return envs
-
-
-def _apply_stage(stage, envs, ctx):
-    if isinstance(stage, PathExpand):
-        def expand(source=envs, item=stage.item):
-            for env in source:
-                yield from ctx.evaluator.bind_from_item(item, env)
-        return expand()
-    if isinstance(stage, Predicate):
-        def keep(source=envs, condition=stage.condition):
-            evaluator = ctx.evaluator
-            for env in source:
-                if next(evaluator.solve(condition, env), None) is not None:
-                    yield env
-        return keep()
-    raise TypeError(f"unsupported exchange stage {stage!r}")
-
-
-def _exchange_envs(node: Exchange, ctx: ExecutionContext) -> Iterator[dict]:
-    """Bind the source serially, shard, fan out, merge in shard order."""
-    from ..parallel.sharding import chunk_evenly, shard_count
-
-    stats = ctx.stats
-    with span("parallel.bind_first"):
-        first_envs = list(_child_envs(node, ctx))
-    metrics = ctx.parallel_metrics
-    workers = ctx.pool.max_workers if ctx.pool is not None else 1
-    shards = shard_count(len(first_envs), workers,
-                         min_shard_size=ctx.min_shard_size)
-    if ctx.pool is None or shards <= 1:
-        if metrics is not None:
-            metrics["serial_queries"].inc()
-        if stats is not None:
-            # Materialize through the recorder-aware shard kernel so the
-            # detached stage nodes account even on the serial path (row
-            # and order identical to the lazy generators -- the batched
-            # equivalence suite pins filter_rows against the solver).
-            recorder = StageRecorder(len(node.stages))
-            rows = run_stages_on_rows(node.stages, first_envs,
-                                      ctx.evaluator, recorder)
-            stats.merge_stage_payload(node, recorder.stages)
-            yield from rows
-            return
-        yield from _apply_stages(node.stages, iter(first_envs), ctx)
-        return
-    if metrics is not None:
-        metrics["sharded_queries"].inc()
-        metrics["shards"].inc(shards)
-    ctx.observed["shards"] = shards
-    if stats is not None:
-        stats.op_for(node).shards = shards
-    chunks = chunk_evenly(first_envs, shards)
-    emit_event("shard_dispatched", level="debug", mode="thread-iter",
-               shards=shards, rows=len(first_envs))
-    with span("parallel.fanout", shards=shards):
-        if stats is not None:
-            evaluator = ctx.evaluator
-
-            def task(chunk, stages=node.stages):
-                recorder = StageRecorder(len(stages))
-                return (run_stages_on_rows(stages, chunk, evaluator,
-                                           recorder),
-                        recorder)
-            env_lists = []
-            for envs, recorder in ctx.pool.map_ordered(task, chunks):
-                stats.merge_stage_payload(node, recorder.stages)
-                env_lists.append(envs)
-        else:
-            env_lists = ctx.pool.map_ordered(
-                lambda chunk: list(_apply_stages(node.stages, iter(chunk),
-                                                 ctx)),
-                chunks)
-    for envs in env_lists:
-        yield from envs
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +84,14 @@ def iter_batches(node: LogicalNode,
                  ctx: ExecutionContext) -> Iterator[EnvBatch]:
     """The batch stream a logical (sub)chain produces.
 
-    Batch boundaries are re-established at ``ctx.batch_size`` after each
+    Batch boundaries are re-established at
+    :data:`~repro.plan.batch.DEFAULT_BATCH_SIZE` rows after each
     expansion (an expansion can multiply rows); row order across the
-    stream is identical to :func:`iter_envs` for any width.
+    stream is the legacy evaluator's for any width.
 
-    Like :func:`iter_envs` this is a dispatcher: with ``ctx.stats``
-    attached the output stream is wrapped for per-operator accounting,
-    without it the raw generator runs untouched.
+    A thin dispatcher: with ``ctx.stats`` attached (ANALYZE) the output
+    stream is wrapped for per-operator accounting, without it the raw
+    generator runs untouched.
     """
     stream = _node_batches(node, ctx)
     if ctx.stats is not None:
@@ -277,15 +110,15 @@ def _child_batches(parent: LogicalNode,
 
 def _node_batches(node: LogicalNode,
                   ctx: ExecutionContext) -> Iterator[EnvBatch]:
-    size = ctx.batch_size
     if isinstance(node, Scan):
         yield EnvBatch([dict(ctx.base_env)])
     elif isinstance(node, PathExpand):
         kernel = ctx.evaluator.bind_from_item_batch
+        width = batching.DEFAULT_BATCH_SIZE
         for batch in _child_batches(node, ctx):
             rows = kernel(node.item, batch.rows)
             if rows:
-                yield from EnvBatch(rows).split(size)
+                yield from EnvBatch(rows).split(width)
     elif isinstance(node, Predicate):
         evaluator = ctx.evaluator
         pred = compile_predicate(node.condition, evaluator)
@@ -296,180 +129,8 @@ def _node_batches(node: LogicalNode,
                                counts=counts)
             if kept:
                 yield EnvBatch(kept)
-    elif isinstance(node, Exchange):
-        yield from _exchange_batches(node, ctx)
     else:  # pragma: no cover - lowering only builds the nodes above
         raise TypeError(f"cannot stream batches from {node!r}")
-
-
-def run_stages_on_rows(stages, rows: list, evaluator,
-                       recorder: StageRecorder | None = None) -> list:
-    """Run detached Exchange stages over one shard's rows, in order.
-
-    Module-level and driven by explicit arguments so a process-pool
-    worker can execute it by reference: ``stages`` are frozen AST-bearing
-    dataclasses and ``rows`` plain environment dicts, both picklable; the
-    evaluator is the worker-global replica, never shipped per task.
-
-    ``recorder`` (ANALYZE only) tallies one dict per stage -- rows
-    in/out, wall seconds, predicate vectorized/fallback split -- that the
-    coordinator folds into the stage nodes' :class:`~repro.plan.analyze.
-    OpStats` across shards.
-    """
-    for idx, stage in enumerate(stages):
-        rec = recorder.stages[idx] if recorder is not None else None
-        if rec is not None:
-            rec["rows_in"] += len(rows)
-            started = perf_counter()
-        if isinstance(stage, PathExpand):
-            rows = evaluator.bind_from_item_batch(stage.item, rows)
-        elif isinstance(stage, Predicate):
-            pred = compile_predicate(stage.condition, evaluator)
-            rows = filter_rows(evaluator, stage.condition, rows, pred,
-                               counts=rec)
-        else:
-            raise TypeError(f"unsupported exchange stage {stage!r}")
-        if rec is not None:
-            rec["wall_seconds"] += perf_counter() - started
-            rec["rows_out"] += len(rows)
-    return rows
-
-
-def _stage_task(task):
-    """Process-pool entry point: one ``(stages, rows, trace, collect)``
-    shard.
-
-    Returns ``(rows, telemetry)``: the worker's registry delta (and,
-    when the parent had tracing on at dispatch, its span subtree) ride
-    back beside the result so the parent can merge them -- the counters
-    a forked worker bumps would otherwise die with the fork.  With
-    ``collect`` (the parent is running ANALYZE) the per-stage row/time
-    recorder rides in the same payload
-    (:func:`~repro.obs.propagation.attach_stage_stats`).
-    """
-    from ..parallel.pool import worker_evaluator
-    stages, rows, trace, collect = task
-    telemetry: dict = {}
-    recorder = StageRecorder(len(stages)) if collect else None
-    with capture_task_telemetry(telemetry, trace=trace):
-        with span("parallel.shard", rows=len(rows)):
-            rows = run_stages_on_rows(stages, rows, worker_evaluator(),
-                                      recorder)
-    if recorder is not None:
-        attach_stage_stats(telemetry, recorder.stages)
-    return rows, telemetry
-
-
-def _exchange_batches(node: Exchange,
-                      ctx: ExecutionContext) -> Iterator[EnvBatch]:
-    """Bind the source serially, shard whole batches out, merge in order."""
-    from ..parallel.sharding import chunk_evenly, shard_count
-
-    stats = ctx.stats
-    with span("parallel.bind_first"):
-        first_rows: list = []
-        for batch in _child_batches(node, ctx):
-            first_rows.extend(batch.rows)
-    metrics = ctx.parallel_metrics
-    pool = ctx.pool
-    workers = pool.max_workers if pool is not None else 1
-    shards = shard_count(len(first_rows), workers,
-                         min_shard_size=ctx.min_shard_size)
-    if pool is None or shards <= 1:
-        if metrics is not None:
-            metrics["serial_queries"].inc()
-        recorder = StageRecorder(len(node.stages)) if stats is not None \
-            else None
-        rows = run_stages_on_rows(node.stages, first_rows, ctx.evaluator,
-                                  recorder)
-        if recorder is not None:
-            stats.merge_stage_payload(node, recorder.stages)
-        if rows:
-            yield from EnvBatch(rows).split(ctx.batch_size)
-        return
-    if metrics is not None:
-        metrics["sharded_queries"].inc()
-        metrics["shards"].inc(shards)
-    ctx.observed["shards"] = shards
-    if stats is not None:
-        stats.op_for(node).shards = shards
-    chunks = chunk_evenly(first_rows, shards)
-    process_pool = getattr(pool, "kind", "thread") == "process"
-    emit_event("shard_dispatched", level="debug",
-               mode="process" if process_pool else "thread",
-               shards=shards, rows=len(first_rows))
-    with span("parallel.fanout", shards=shards) as fanout:
-        if process_pool:
-            trace = get_tracer().enabled
-            collect = stats is not None
-            outcomes = pool.map_ordered(
-                _stage_task,
-                [(node.stages, chunk, trace, collect) for chunk in chunks])
-            # Merge each shard's telemetry before yielding its rows:
-            # counters sum, histograms bucket-merge, worker span
-            # subtrees re-parent under this dispatching fanout span,
-            # and (ANALYZE) stage recorders fold into the plan tree.
-            row_lists = []
-            for rows, telemetry in outcomes:
-                if stats is not None:
-                    stats.merge_stage_payload(node,
-                                              pop_stage_stats(telemetry))
-                merge_task_telemetry(
-                    telemetry,
-                    parent_span=fanout if isinstance(fanout, Span) else None)
-                row_lists.append(rows)
-        elif stats is not None:
-            evaluator = ctx.evaluator
-
-            def task(chunk, stages=node.stages):
-                recorder = StageRecorder(len(stages))
-                return (run_stages_on_rows(stages, chunk, evaluator,
-                                           recorder),
-                        recorder)
-            row_lists = []
-            for rows, recorder in pool.map_ordered(task, chunks):
-                stats.merge_stage_payload(node, recorder.stages)
-                row_lists.append(rows)
-        else:
-            evaluator = ctx.evaluator
-            row_lists = pool.map_ordered(
-                lambda chunk: run_stages_on_rows(node.stages, chunk,
-                                                 evaluator),
-                chunks)
-    for rows in row_lists:
-        if rows:
-            yield EnvBatch(rows)
-
-
-def insert_exchange(root: LogicalNode) -> Optional[LogicalNode]:
-    """Rewrite a chain for sharded execution, or ``None`` if unshardable.
-
-    The innermost ``PathExpand`` (the first from-item) plus the ``Scan``
-    become the Exchange's serially-bound source; everything above it
-    (later expansions, the predicate) becomes the detached shard stages.
-    Plans without a from clause -- or already-indexed plans -- stay
-    serial.
-    """
-    if not isinstance(root, Project):
-        return None
-    chain: list[LogicalNode] = []
-    node = root.child
-    while isinstance(node, (Predicate, PathExpand)):
-        chain.append(node)
-        node = node.child
-    if not isinstance(node, Scan):
-        return None
-    expands = [n for n in chain if isinstance(n, PathExpand)]
-    if not expands:
-        return None
-    first = expands[-1]  # innermost = the first from-item
-    source = PathExpand(item=first.item, child=Scan())
-    stages = tuple(
-        PathExpand(item=n.item) if isinstance(n, PathExpand)
-        else Predicate(condition=n.condition)
-        for n in reversed(chain[:-1]))  # application order, minus the source
-    exchange = Exchange(child=source, stages=stages)
-    return Project(select=root.select, labels=root.labels, child=exchange)
 
 
 # ---------------------------------------------------------------------------
@@ -492,18 +153,13 @@ def execute_plan(root: LogicalNode, ctx: ExecutionContext) -> QueryResult:
     op = stats.op_for(root) if stats is not None else None
     started = perf_counter() if op is not None else 0.0
     result = QueryResult()
-    if ctx.batch_size > 0:
-        project = evaluator.project_row
-        add = result.add
-        observe = batch_rows_histogram().observe
-        source = _child_batches(root, ctx)
-        for batch in source:
-            observe(len(batch))
-            for env in batch.rows:
-                add(project(root.select, env, root.labels))
-    else:
-        for env in _child_envs(root, ctx):
-            result.add(evaluator.project_row(root.select, env, root.labels))
+    project = evaluator.project_row
+    add = result.add
+    observe = batch_rows_histogram().observe
+    for batch in _child_batches(root, ctx):
+        observe(len(batch))
+        for env in batch.rows:
+            add(project(root.select, env, root.labels))
     if op is not None:
         # Inclusive: the loop pulls the whole child pipeline, so the
         # root's time is the query's end-to-end execute time.
@@ -512,14 +168,13 @@ def execute_plan(root: LogicalNode, ctx: ExecutionContext) -> QueryResult:
     return result
 
 
-def run_compiled(compiled, root: LogicalNode, ctx: ExecutionContext,
-                 engine, *, analyze: bool = False) -> QueryResult:
-    """Execute a plan root and record the run in the query log.
+def run_compiled(compiled, ctx: ExecutionContext, engine, *,
+                 analyze: bool = False) -> QueryResult:
+    """Execute a compiled plan and record the run in the query log.
 
     The one post-compile execution path every engine facade shares:
     with ``analyze=True`` a :class:`~repro.plan.analyze.PlanStats`
-    collector is attached over ``root`` (the *executed* tree -- pass the
-    Exchange-rewritten root when sharding), finalized into
+    collector is attached over ``compiled.root``, finalized into
     ``compiled.runtime``, and its actuals fed to the cardinality
     feedback store; either way the execution lands one record in the
     :mod:`repro.obs.querylog`.
@@ -527,6 +182,7 @@ def run_compiled(compiled, root: LogicalNode, ctx: ExecutionContext,
     from ..obs.querylog import record_engine_query
     from .analyze import PlanStats
 
+    root = compiled.root
     stats = None
     if analyze:
         stats = PlanStats(root, fingerprint=compiled.fingerprint)
@@ -538,7 +194,6 @@ def run_compiled(compiled, root: LogicalNode, ctx: ExecutionContext,
         stats.finalize(len(result), elapsed)
         compiled.runtime = stats
     record_engine_query(engine, compiled, result, elapsed,
-                        shards=ctx.observed.get("shards", 0),
                         plan_stats=stats)
     return result
 

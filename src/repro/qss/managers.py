@@ -306,10 +306,8 @@ class DOEMManager:
             # state at the cutoff to the log's new origin.
             log.compact(before=parse_timestamp(when))
         # Identifier discipline is preserved: compaction only drops nodes,
-        # and dropped identifiers stay in the reserved set forever.
-        if self.cache_previous_result and key in self._previous:
-            # The cached previous result is a plain snapshot; unaffected.
-            pass
+        # and dropped identifiers stay in the reserved set forever.  The
+        # cached previous result is a plain snapshot, so it is unaffected.
 
     def filter_engine(self, state: SubscriptionState) -> ChorelEngine:
         """A Chorel engine over the subscription's DOEM database.
@@ -344,8 +342,8 @@ class DOEMManager:
             "cached_nodes": 0,
             "cached_arcs": 0,
         }
-        if self.cache_previous_result and name in self._previous:
-            cached = self._previous[name]
+        cached = self._previous.get(self._key(name))
+        if self.cache_previous_result and cached is not None:
             sizes["cached_nodes"] = len(cached)
             sizes["cached_arcs"] = cached.arc_count()
         return sizes

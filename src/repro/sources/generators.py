@@ -199,11 +199,10 @@ def random_history(db: OEMDatabase, seed: int = 0, steps: int = 5,
 # property-test worlds but quadratic pain at benchmark scale.  The large
 # generators instead build a *regular* shape whose validity is known by
 # construction, with incremental bookkeeping (live-arc set, price list)
-# so generation stays O(total ops).  The shape is chosen for sharding:
-# the root fans out into many ``item`` subtrees, so a query's first
-# from-item binds thousands of environments cheaply and the per-shard
-# stages (inner expansions, predicates, annotation walks) carry the real
-# work.
+# so generation stays O(total ops).  The root fans out into many
+# ``item`` subtrees, so a query's first from-item binds thousands of
+# environments cheaply and the later stages (inner expansions,
+# predicates, annotation walks) carry the real work.
 
 def large_database(seed: int = 0, items: int = 1000, extra_links: int = 200,
                    root: str = "root") -> OEMDatabase:

@@ -51,10 +51,10 @@ class TestEventLog:
         assert not log.emit("rule_fired", level="debug")
         assert not log.emit("query_compiled", level="info")
         assert log.emit("poll_timeout", level="warning")
-        assert log.emit("worker_crash", level="error")
+        assert log.emit("slow_poll", level="error")
         log.close()
         assert [line["type"] for line in read_lines(path)] == \
-            ["poll_timeout", "worker_crash"]
+            ["poll_timeout", "slow_poll"]
 
     def test_unknown_level_raises(self, tmp_path):
         log = EventLog(tmp_path / "events.jsonl")
@@ -67,18 +67,18 @@ class TestEventLog:
     def test_sampling_is_deterministic_one_in_n(self, tmp_path):
         path = tmp_path / "events.jsonl"
         log = EventLog(path, level="debug",
-                       sample={"rule_fired": 3, "shard_dispatched": 0})
+                       sample={"rule_fired": 3, "cache_eviction": 0})
         for index in range(9):
             log.emit("rule_fired", level="debug", index=index)
         for _ in range(4):
-            log.emit("shard_dispatched", level="debug")
+            log.emit("cache_eviction", level="debug")
         log.emit("query_compiled")  # unlisted types are always kept
         log.close()
         lines = read_lines(path)
         kept = [line["index"] for line in lines
                 if line["type"] == "rule_fired"]
         assert kept == [0, 3, 6]  # every 3rd, starting at the first
-        assert not any(line["type"] == "shard_dispatched" for line in lines)
+        assert not any(line["type"] == "cache_eviction" for line in lines)
         assert lines[-1]["type"] == "query_compiled"
 
     def test_rotation_keeps_backups(self, tmp_path):
@@ -101,18 +101,18 @@ class TestEventLog:
 
     def test_stderr_sink_never_rotates(self, capsys):
         log = EventLog("-", max_bytes=1)
-        log.emit("worker_crash", level="error", detail="x")
-        log.emit("worker_crash", level="error", detail="y")
+        log.emit("slow_poll", level="warning", detail="x")
+        log.emit("slow_poll", level="warning", detail="y")
         log.close()  # must not close the real stderr
         captured = capsys.readouterr()
-        assert captured.err.count("worker_crash") == 2
+        assert captured.err.count("slow_poll") == 2
         assert sys.stderr.writable()
 
 
 class TestSampleSpec:
     def test_parse(self):
-        assert _parse_sample_spec("rule_fired=10, shard_dispatched=0") == \
-            {"rule_fired": 10, "shard_dispatched": 0}
+        assert _parse_sample_spec("rule_fired=10, cache_eviction=0") == \
+            {"rule_fired": 10, "cache_eviction": 0}
         assert _parse_sample_spec("") == {}
 
     def test_bad_spec_raises(self):

@@ -127,6 +127,25 @@ class TestRecording:
         assert get_tracer().roots == []
 
 
+class TestTracerAttachment:
+    def test_attach_to_nests_spans_under_parent(self):
+        tracer = Tracer(enabled=True)
+        with tracer.span("parent") as parent:
+            with tracer.attach_to(parent):
+                with tracer.span("child"):
+                    pass
+        assert [c.name for c in parent.children] == ["child"]
+        assert tracer.current_span() is None
+
+    def test_attach_to_disabled_or_none_is_noop(self):
+        tracer = Tracer(enabled=False)
+        with tracer.attach_to(None):
+            pass
+        with tracer.attach_to(Span("x")):
+            pass
+        assert tracer.roots == []
+
+
 class TestCapture:
     def test_capture_restores_disabled_and_leaves_no_residue(self):
         tracer = get_tracer()

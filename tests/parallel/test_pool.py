@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.parallel import WorkerPool, chunk_evenly, default_pool, shard_count
+from repro.parallel import WorkerPool
 
 
 class TestMapOrdered:
@@ -103,36 +103,32 @@ class TestShutdown:
 
 
 class TestDefaults:
-    def test_default_pool_is_shared_and_recreated(self):
-        first = default_pool()
-        assert default_pool() is first
-        first.shutdown()
-        second = default_pool()
-        assert second is not first
-        assert second.map_ordered(lambda x: x * 2, [1, 2]) == [2, 4]
-
     def test_invalid_widths_rejected(self):
         with pytest.raises(ValueError):
             WorkerPool(0)
 
 
-class TestSharding:
-    def test_chunks_concatenate_to_input(self):
-        for n in range(0, 30):
-            items = list(range(n))
-            for shards in range(1, 9):
-                chunks = chunk_evenly(items, shards)
-                assert [x for chunk in chunks for x in chunk] == items
-                assert all(chunks), (n, shards)
-                if chunks:
-                    sizes = sorted(len(c) for c in chunks)
-                    assert sizes[-1] - sizes[0] <= 1
+def _traced_task(n):
+    from repro.obs.trace import span
 
-    def test_shard_count_bounds(self):
-        assert shard_count(0, 4) == 0
-        assert shard_count(10, 4) == 4
-        assert shard_count(3, 8) == 3
-        assert shard_count(100, 4, min_shard_size=50) == 2
-        assert shard_count(10, 4, min_shard_size=100) == 1
-        with pytest.raises(ValueError):
-            chunk_evenly([1], 0)
+    with span(f"task.{n}"):
+        return n * n
+
+
+class TestTracing:
+    def test_thread_pool_spans_nest_under_submitting_span(self):
+        """Pool tasks attach to the submitter's active span instead of
+        becoming orphaned roots."""
+        from repro.obs.trace import get_tracer
+
+        tracer = get_tracer()
+        with WorkerPool(2) as pool:
+            with tracer.capture() as cap:
+                with tracer.span("parent.batch"):
+                    futures = [pool.submit(_traced_task, n) for n in range(3)]
+                    assert sorted(f.result() for f in futures) == [0, 1, 4]
+        parent = cap.find("parent.batch")
+        assert parent is not None
+        assert sorted(c.name for c in parent.children) == \
+            ["task.0", "task.1", "task.2"]
+        assert not any(root.name.startswith("task.") for root in cap.spans)

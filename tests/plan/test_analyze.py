@@ -17,7 +17,6 @@ from repro import (
     ChorelEngine,
     IndexedChorelEngine,
     LorelEngine,
-    ParallelExecutor,
     TranslatingChorelEngine,
     build_doem,
 )
@@ -52,14 +51,12 @@ def analyzed_stats(engine, query):
 
 
 def children_of(stats):
-    """(parent, child) OpStats pairs along the attached (non-detached)
-    spine: each parent's direct child is the next op one level deeper."""
+    """(parent, child) OpStats pairs: each parent's direct child is the
+    next op one level deeper."""
     pairs = []
     for index, op in enumerate(stats.ops):
-        if op.detached:
-            continue
         for later in stats.ops[index + 1:]:
-            if later.depth == op.depth + 1 and not later.detached:
+            if later.depth == op.depth + 1:
                 pairs.append((op, later))
             if later.depth <= op.depth:
                 break
@@ -79,15 +76,22 @@ class TestOperatorAccounting:
         # The root operator's output is the result itself.
         assert stats.ops[0].rows_out == len(result)
 
-    def test_identical_rows_and_iterator_model(self, doem):
-        for batch_size in (None, 0):
-            kwargs = {} if batch_size is None else {"batch_size": batch_size}
-            plain = ChorelEngine(doem, name="guide", **kwargs)
-            analyzed = ChorelEngine(doem, name="guide", **kwargs)
-            expected = [str(row) for row in plain.run(CHAIN_QUERY)]
-            result = analyzed.run(CHAIN_QUERY, analyze=True)
-            assert [str(row) for row in result] == expected
-            assert analyzed.last_compiled.runtime.result_rows == len(expected)
+    def test_identical_rows(self, doem):
+        plain = ChorelEngine(doem, name="guide")
+        analyzed = ChorelEngine(doem, name="guide")
+        expected = [str(row) for row in plain.run(CHAIN_QUERY)]
+        result = analyzed.run(CHAIN_QUERY, analyze=True)
+        assert [str(row) for row in result] == expected
+        assert analyzed.last_compiled.runtime.result_rows == len(expected)
+
+    def test_to_dict_round_trips(self, doem):
+        engine = ChorelEngine(doem, name="guide")
+        engine.run(CHAIN_QUERY, analyze=True)
+        payload = engine.last_compiled.runtime.to_dict()
+        assert payload["fingerprint"] == engine.last_compiled.fingerprint
+        assert payload["rows"] == payload["ops"][0]["rows_out"]
+        import json
+        json.dumps(payload)  # JSON-clean
 
     def test_predicate_rows_are_tallied(self, doem):
         engine = ChorelEngine(doem, name="guide")
@@ -158,17 +162,6 @@ class TestFingerprint:
         assert compiled.fingerprint in compiled.explain(analyze=False) or \
             compiled.fingerprint  # explain() need not print it; length pins
 
-    def test_fingerprint_survives_sharding(self, doem):
-        """The Exchange rewrite happens at execution; the fingerprint is a
-        compile-time property, so serial and sharded agree."""
-        serial = ChorelEngine(doem, name="guide")
-        serial.run(CHAIN_QUERY, analyze=True)
-        sharded = ChorelEngine(doem, name="guide")
-        with ParallelExecutor(sharded, max_workers=2) as executor:
-            executor.run(CHAIN_QUERY, analyze=True)
-        assert serial.last_compiled.fingerprint == \
-            sharded.last_compiled.fingerprint
-
     def test_plan_fingerprint_is_render_hash(self, doem):
         engine = ChorelEngine(doem, name="guide")
         compiled = engine.compile(CHAIN_QUERY)
@@ -217,41 +210,3 @@ class TestCardinalityFeedback:
         compiled = engine.compile(CHAIN_QUERY)
         estimates = estimate_rows(compiled.root)
         assert all(value >= 1 for value in estimates.values())
-
-
-class TestShardedAnalyze:
-    @pytest.mark.parametrize("processes", [False, True])
-    def test_merged_totals_match_serial(self, doem, processes):
-        serial = ChorelEngine(doem, name="guide")
-        expected, serial_stats = analyzed_stats(serial, CHAIN_QUERY)
-        engine = ChorelEngine(doem, name="guide")
-        with ParallelExecutor(engine, max_workers=2,
-                              processes=processes,
-                              min_shard_size=1) as executor:
-            result = executor.run(CHAIN_QUERY, analyze=True)
-        assert [str(r) for r in result] == [str(r) for r in expected]
-        stats = engine.last_compiled.runtime
-        assert stats is not None
-        serial_by: dict[str, int] = {}
-        for op in serial_stats.ops:
-            serial_by[op.op] = serial_by.get(op.op, 0) + op.rows_out
-        for op in stats.ops:
-            if op.op in serial_by and not op.op.startswith("Scan"):
-                assert op.rows_out == serial_by[op.op], op.op
-        exchanges = [op for op in stats.ops
-                     if op.op.startswith("Exchange")]
-        if exchanges:  # sharding engaged: stage stats were merged
-            detached = [op for op in stats.ops if op.detached]
-            assert detached
-            assert all(op.rows_in or op.rows_out for op in detached)
-
-    def test_sharded_to_dict_round_trips(self, doem):
-        engine = ChorelEngine(doem, name="guide")
-        with ParallelExecutor(engine, max_workers=2,
-                              min_shard_size=1) as executor:
-            executor.run(CHAIN_QUERY, analyze=True)
-        payload = engine.last_compiled.runtime.to_dict()
-        assert payload["fingerprint"] == engine.last_compiled.fingerprint
-        assert payload["rows"] == payload["ops"][0]["rows_out"]
-        import json
-        json.dumps(payload)  # JSON-clean

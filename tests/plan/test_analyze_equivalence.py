@@ -1,25 +1,22 @@
 """ANALYZE observes; it must not perturb.
 
-The property this suite pins: for every engine, serial or sharded
-(threads and processes), ``run(query, analyze=True)`` returns rows
-**identical and identically ordered** to the uninstrumented run -- and
-the collected stats tree is internally consistent (each attached
-parent's ``rows_in`` equals its child's ``rows_out``, predicate tallies
-cover every judged row).  Randomized worlds come from the same generator
+The property this suite pins: for every engine, ``run(query,
+analyze=True)`` returns rows **identical and identically ordered** to
+the uninstrumented run -- and the collected stats tree is internally
+consistent (each parent's ``rows_in`` equals its child's ``rows_out``,
+predicate tallies cover every judged row).  Randomized worlds come from the same generator
 the index-differential harness trusts.
 """
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import (
     ChorelEngine,
     IndexedChorelEngine,
     LorelEngine,
-    ParallelExecutor,
     TranslatingChorelEngine,
 )
 from tests.plan.test_analyze import children_of
@@ -42,7 +39,7 @@ def check_stats(engine, query) -> None:
         assert parent.rows_in == child.rows_out, \
             (type(engine).__name__, query, parent.op, child.op)
     for op in stats.ops:
-        if op.op.startswith("Predicate") and not op.detached:
+        if op.op.startswith("Predicate"):
             assert op.vectorized_rows + op.fallback_rows == op.rows_in, \
                 (type(engine).__name__, query, op.op)
         assert op.wall_seconds >= 0.0
@@ -94,41 +91,3 @@ class TestSerialAnalyzeEquivalence:
             assert analyzed_outcome(query) == expected, query
             if expected[1] is None:
                 check_stats(analyzed, query)
-
-
-class TestShardedAnalyzeEquivalence:
-    @given(seed=st.integers(min_value=0, max_value=99),
-           workers=st.integers(min_value=2, max_value=4))
-    @settings(max_examples=6, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_chorel_thread_sharded(self, seed, workers):
-        _, history, doem = make_world(seed)
-        queries = world_queries(history)
-        for engine_cls in CHOREL_ENGINES:
-            plain = engine_cls(doem, name="root")
-            engine = engine_cls(doem, name="root")
-            with ParallelExecutor(engine, max_workers=workers) as executor:
-                for query in queries:
-                    expected = texts(plain.run(query))
-                    assert texts(executor.run(query, analyze=True)) == \
-                        expected, (engine_cls.__name__, query)
-                    stats = engine.last_compiled.runtime
-                    assert stats is not None
-
-    @pytest.mark.parametrize("seed", [1, 8])
-    def test_chorel_process_sharded(self, seed):
-        """Stage stats shipped back through the telemetry payload keep
-        the rows identical and the merged tree populated."""
-        _, history, doem = make_world(seed)
-        plain = ChorelEngine(doem, name="root")
-        engine = ChorelEngine(doem, name="root")
-        queries = world_queries(history)
-        with ParallelExecutor(engine, processes=True,
-                              max_workers=2) as executor:
-            for query in queries:
-                expected = texts(plain.run(query))
-                assert texts(executor.run(query, analyze=True)) == \
-                    expected, query
-                stats = engine.last_compiled.runtime
-                assert stats is not None
-                assert stats.ops[0].rows_out == len(expected), query

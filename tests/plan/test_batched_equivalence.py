@@ -1,28 +1,31 @@
-"""Batched execution is iterator execution is the legacy evaluator.
+"""Batched execution is the legacy evaluator, at every batch width.
 
 The batched physical operators (:mod:`repro.plan.batch`) claim row- and
-order-identity with the iterator model and the pre-planner evaluator for
-*any* batch size -- the equivalence the batched-frontier argument proves
-(a level-synchronous expansion in frontier order replays the
-concatenation of per-row depth-first enumerations).  This suite pins the
-claim across all four engines, serially and through the sharding
-``Exchange`` (thread and process pools), over the same randomized worlds
-the index-differential harness trusts, at batch widths 1 (degenerate:
-every batch is a row), 7 (prime, never aligned with result counts), 64,
-and whole-world (one batch end to end).
+order-identity with the pre-planner evaluator for *any* batch width --
+the equivalence the batched-frontier argument proves (a level-synchronous
+expansion in frontier order replays the concatenation of per-row
+depth-first enumerations).  This suite pins the claim on all four
+engines, over the same randomized worlds the index-differential harness
+trusts, at batch widths 1 (degenerate: every batch is a row), 7 (prime,
+never aligned with result counts), 64, and whole-world (one batch end to
+end).  The width is swept by rebinding the one module constant,
+:data:`repro.plan.batch.DEFAULT_BATCH_SIZE`, which the operators read at
+execution time.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.plan.batch as batching
 from repro import (
     ChorelEngine,
     IndexedChorelEngine,
     LorelEngine,
-    ParallelExecutor,
     TranslatingChorelEngine,
 )
 from repro.plan.batch import EnvBatch, compile_predicate
@@ -41,112 +44,72 @@ BATCH_SIZES = [1, 7, 64, 1 << 20]
 CHOREL_ENGINES = (ChorelEngine, IndexedChorelEngine)
 
 
+@contextmanager
+def batch_width(size: int):
+    """Run the block with the operators' batch width rebound to ``size``."""
+    saved = batching.DEFAULT_BATCH_SIZE
+    batching.DEFAULT_BATCH_SIZE = size
+    try:
+        yield
+    finally:
+        batching.DEFAULT_BATCH_SIZE = saved
+
+
 class TestSerialBatchedEquivalence:
-    """batched(size) == iterator == legacy, engine by engine."""
+    """batched(width) == legacy, engine by engine, at every width."""
 
-    @given(seed=st.integers(min_value=0, max_value=99),
-           size=st.sampled_from(BATCH_SIZES))
+    @given(seed=st.integers(min_value=0, max_value=99))
     @RELAXED
-    def test_chorel_native_and_indexed(self, seed, size):
+    def test_chorel_native_and_indexed(self, seed):
         _, history, doem = make_world(seed)
         queries = world_queries(history)
         for engine_cls in CHOREL_ENGINES:
-            batched = engine_cls(doem, name="root", batch_size=size)
-            iterator = engine_cls(doem, name="root", batch_size=0)
+            batched = engine_cls(doem, name="root")
             legacy = engine_cls(doem, name="root", use_planner=False)
-            for query in queries:
-                expected = texts(legacy.run(query))
-                assert texts(iterator.run(query)) == expected, \
-                    (engine_cls.__name__, query)
-                assert texts(batched.run(query)) == expected, \
-                    (engine_cls.__name__, size, query)
+            expected = [texts(legacy.run(query)) for query in queries]
+            for size in BATCH_SIZES:
+                with batch_width(size):
+                    for query, rows in zip(queries, expected):
+                        assert texts(batched.run(query)) == rows, \
+                            (engine_cls.__name__, size, query)
 
-    @given(seed=st.integers(min_value=0, max_value=99),
-           size=st.sampled_from(BATCH_SIZES))
+    @given(seed=st.integers(min_value=0, max_value=99))
     @RELAXED
-    def test_lorel(self, seed, size):
+    def test_lorel(self, seed):
         db, _, _ = make_world(seed)
-        batched = LorelEngine(db, name="root", batch_size=size)
-        iterator = LorelEngine(db, name="root", batch_size=0)
+        batched = LorelEngine(db, name="root")
         legacy = LorelEngine(db, name="root", use_planner=False)
-        for query in LOREL_QUERIES:
-            expected = texts(legacy.run(query))
-            assert texts(iterator.run(query)) == expected, query
-            assert texts(batched.run(query)) == expected, (size, query)
+        expected = [texts(legacy.run(query)) for query in LOREL_QUERIES]
+        for size in BATCH_SIZES:
+            with batch_width(size):
+                for query, rows in zip(LOREL_QUERIES, expected):
+                    assert texts(batched.run(query)) == rows, (size, query)
 
-    @given(seed=st.integers(min_value=0, max_value=99),
-           size=st.sampled_from(BATCH_SIZES))
+    @given(seed=st.integers(min_value=0, max_value=99))
     @RELAXED
-    def test_translating(self, seed, size):
+    def test_translating(self, seed):
         _, history, doem = make_world(seed)
-        batched = TranslatingChorelEngine(doem, name="root", batch_size=size)
+        batched = TranslatingChorelEngine(doem, name="root")
         legacy = TranslatingChorelEngine(doem, name="root",
                                          use_planner=False)
-        for query in world_queries(history):
-            assert outcome(batched, query) == outcome(legacy, query), \
-                (size, query)
-
-
-class TestShardedBatchedEquivalence:
-    """Exchange over batches replays serial enumeration for any width."""
-
-    @given(seed=st.integers(min_value=0, max_value=99),
-           size=st.sampled_from(BATCH_SIZES),
-           workers=st.integers(min_value=2, max_value=4))
-    @settings(max_examples=6, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_chorel_thread_sharded(self, seed, size, workers):
-        _, history, doem = make_world(seed)
         queries = world_queries(history)
-        for engine_cls in CHOREL_ENGINES:
-            engine = engine_cls(doem, name="root", batch_size=size)
-            legacy = engine_cls(doem, name="root", use_planner=False)
-            with ParallelExecutor(engine, max_workers=workers) as executor:
-                for query in queries:
-                    assert texts(executor.run(query)) == \
-                        texts(legacy.run(query)), \
-                        (engine_cls.__name__, size, query)
+        expected = [outcome(legacy, query) for query in queries]
+        for size in BATCH_SIZES:
+            with batch_width(size):
+                for query, result in zip(queries, expected):
+                    assert outcome(batched, query) == result, (size, query)
 
-    @given(seed=st.integers(min_value=0, max_value=99),
-           size=st.sampled_from(BATCH_SIZES))
-    @settings(max_examples=5, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_lorel_thread_sharded(self, seed, size):
-        db, _, _ = make_world(seed)
-        engine = LorelEngine(db, name="root", batch_size=size)
-        legacy = LorelEngine(db, name="root", use_planner=False)
-        with ParallelExecutor(engine, max_workers=3) as executor:
-            for query in LOREL_QUERIES:
-                assert texts(executor.run(query)) == \
-                    texts(legacy.run(query)), (size, query)
-
-    @pytest.mark.parametrize("seed", [1, 8])
-    @pytest.mark.parametrize("size", [7, 1 << 20])
-    def test_chorel_process_sharded(self, seed, size):
-        """Process-pool shards (pickled rows, worker-global evaluator)
-        still replay the serial enumeration exactly."""
-        _, history, doem = make_world(seed)
-        engine = ChorelEngine(doem, name="root", batch_size=size)
-        legacy = ChorelEngine(doem, name="root", use_planner=False)
-        queries = world_queries(history)
-        with ParallelExecutor(engine, processes=True,
-                              max_workers=2) as executor:
-            for query in queries:
-                assert texts(executor.run(query)) == \
-                    texts(legacy.run(query)), (size, query)
-
-    @pytest.mark.parametrize("seed", [4, 12])
-    def test_translating_sharded(self, seed):
-        _, history, doem = make_world(seed)
-        engine = TranslatingChorelEngine(doem, name="root", batch_size=7)
-        legacy = TranslatingChorelEngine(doem, name="root",
-                                         use_planner=False)
-        queries = [query for query in world_queries(history)
-                   if outcome(legacy, query)[1] is None]
-        with ParallelExecutor(engine, max_workers=3) as executor:
-            for query in queries:
-                assert texts(executor.run(query)) == \
-                    texts(legacy.run(query)), query
+    def test_width_is_read_at_execution_time(self):
+        """The sweep above is real: rebinding the constant re-cuts the
+        batches the ``Project`` root consumes."""
+        db, _, _ = make_world(3)
+        engine = LorelEngine(db, name="root")
+        widths = {}
+        for size in (1, 1 << 20):
+            with batch_width(size):
+                engine.run("select X from root.# X", analyze=True)
+            widths[size] = engine.last_compiled.runtime.ops[1].batches_out
+        assert widths[1] > widths[1 << 20] == 1
 
 
 class TestEnvBatch:

@@ -13,9 +13,8 @@ index-differential harness trusts):
   without a durable store log attached (the log only changes where the
   replay starts, never what it emits).
 * **Engine agreement**: the planner-served range path (indexed engine,
-  either strategy, serial or sharded through a ``ParallelExecutor``)
-  produces the same row set as the naive evaluator pipeline (native
-  engine, planner on or off); the translate backend refuses the shapes
+  either strategy) produces the same row set as the naive evaluator
+  pipeline (native engine, planner on or off); the translate backend refuses the shapes
   cleanly rather than mistranslating them.
 """
 
@@ -30,7 +29,6 @@ from hypothesis import strategies as st
 from repro import (
     ChorelEngine,
     IndexedChorelEngine,
-    ParallelExecutor,
     TranslatingChorelEngine,
     TranslationError,
     build_doem,
@@ -165,23 +163,6 @@ class TestEngineAgreement:
                 assert rows(indexed.run(query)) == expected, query
             served_range = served_range or indexed.last_range_plan is not None
         assert served_range, "the range fast path must actually run"
-
-    @given(seed=st.integers(min_value=0, max_value=99),
-           workers=st.integers(min_value=2, max_value=4))
-    @settings(max_examples=6, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_sharded_matches_serial(self, seed, workers):
-        _, history, doem = make_world(seed)
-        queries = [whole for _t, whole, _l, _r in interval_queries(
-            history, templates=RANGE_TEMPLATES + EXTRA_TEMPLATES)]
-        for engine_cls in (ChorelEngine, IndexedChorelEngine):
-            engine = engine_cls(doem, name="root")
-            serial = engine_cls(doem, name="root")
-            with ParallelExecutor(engine, max_workers=workers) as executor:
-                for query in queries:
-                    assert texts(executor.run(query)) == \
-                        texts(serial.run(query)), \
-                        (engine_cls.__name__, query)
 
     @pytest.mark.parametrize("query", [
         "select T from root.item.price<changed at T in [1Jan97..5Jan97]>",

@@ -30,16 +30,13 @@ from repro.obs.metrics import registry as metrics_registry
 from repro.plan import (
     AnnotationFilter,
     AnnotationLiteralPushdown,
-    Exchange,
     IndexSelection,
     PathExpand,
     Predicate,
     PredicateReorder,
-    Project,
     Scan,
     VirtualAtExpansion,
     compile_query,
-    insert_exchange,
     render,
 )
 from repro.plan.rules import fold_interval, plan_metrics
@@ -297,38 +294,6 @@ class TestRuleIsolation:
                                  rules=[AnnotationLiteralPushdown(),
                                         IndexSelection()])
         assert compiled.is_indexed
-
-
-class TestExchange:
-    def test_insert_exchange_shape(self, chorel):
-        compiled = chorel._compile(chorel.parse(
-            'select N from guide.restaurant R, R.name N where N != "x"'))
-        rewritten = insert_exchange(compiled.root)
-        assert isinstance(rewritten, Project)
-        exchange = rewritten.child
-        assert isinstance(exchange, Exchange)
-        assert chain_shapes(exchange.child) == ["PathExpand", "Scan"]
-        # Detached stages: the second PathExpand, then the Predicate.
-        assert [type(stage).__name__ for stage in exchange.stages] == \
-            ["PathExpand", "Predicate"]
-        assert all(not stage.children() for stage in exchange.stages)
-
-    def test_single_item_query_has_empty_stages(self, chorel):
-        compiled = chorel._compile(chorel.parse("select guide.restaurant"))
-        rewritten = insert_exchange(compiled.root)
-        assert isinstance(rewritten.child, Exchange)
-        assert rewritten.child.stages == ()
-
-    def test_indexed_plan_is_not_exchanged(self, indexed):
-        compiled = indexed._compile(indexed.parse(
-            "select guide.<add>restaurant"))
-        assert insert_exchange(compiled.root) is None
-
-    def test_exchange_render(self, chorel):
-        compiled = chorel._compile(chorel.parse(
-            "select N from guide.restaurant R, R.name N"))
-        text = render(insert_exchange(compiled.root))
-        assert "Exchange stages=1" in text
 
 
 class TestExplain:

@@ -3,14 +3,14 @@
 Every engine still carries its pre-planner single-pass evaluator behind
 ``use_planner=False``; this suite treats it as the differential oracle
 and asserts the compile -> optimize -> execute pipeline returns **row-
-and order-identical** results on all four engines, serially and through
-the sharding ``Exchange`` -- over the same randomized worlds the
-index-differential harness trusts (:mod:`tests.test_differential_index`).
+and order-identical** results on all four engines -- over the same
+randomized worlds the index-differential harness trusts
+(:mod:`tests.test_differential_index`).  The batch-width sweep lives in
+``tests/plan/test_batched_equivalence.py``.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +18,6 @@ from repro import (
     ChorelEngine,
     IndexedChorelEngine,
     LorelEngine,
-    ParallelExecutor,
     TranslatingChorelEngine,
     TranslationError,
 )
@@ -90,58 +89,3 @@ class TestSerialEquivalence:
             engine.run(query)
         assert engine.stats.indexed_queries > 0
         assert engine.stats.fallback_queries > 0
-
-
-class TestShardedEquivalence:
-    """The Exchange operator replays serial enumeration exactly."""
-
-    @given(seed=st.integers(min_value=0, max_value=99),
-           workers=st.integers(min_value=2, max_value=4))
-    @settings(max_examples=6, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_chorel_sharded_matches_legacy_serial(self, seed, workers):
-        _, history, doem = make_world(seed)
-        queries = world_queries(history)
-        for engine_cls in (ChorelEngine, IndexedChorelEngine):
-            planned = engine_cls(doem, name="root")
-            legacy = engine_cls(doem, name="root", use_planner=False)
-            with ParallelExecutor(planned, max_workers=workers) as executor:
-                for query in queries:
-                    assert texts(executor.run(query)) == \
-                        texts(legacy.run(query)), (engine_cls.__name__, query)
-
-    @given(seed=st.integers(min_value=0, max_value=99))
-    @settings(max_examples=5, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_lorel_sharded_matches_legacy_serial(self, seed):
-        db, _, _ = make_world(seed)
-        planned = LorelEngine(db, name="root")
-        legacy = LorelEngine(db, name="root", use_planner=False)
-        with ParallelExecutor(planned, max_workers=3) as executor:
-            for query in LOREL_QUERIES:
-                assert texts(executor.run(query)) == \
-                    texts(legacy.run(query)), query
-
-    @pytest.mark.parametrize("seed", [0, 5, 13])
-    def test_translating_sharded(self, seed):
-        _, history, doem = make_world(seed)
-        planned = TranslatingChorelEngine(doem, name="root")
-        legacy = TranslatingChorelEngine(doem, name="root",
-                                         use_planner=False)
-        queries = [query for query in world_queries(history)
-                   if outcome(legacy, query)[1] is None]
-        with ParallelExecutor(planned, max_workers=3) as executor:
-            for query in queries:
-                assert texts(executor.run(query)) == \
-                    texts(legacy.run(query)), query
-
-    @pytest.mark.parametrize("seed", [2, 9])
-    def test_batched_matches_serial(self, seed):
-        _, history, doem = make_world(seed)
-        engine = IndexedChorelEngine(doem, name="root")
-        legacy = IndexedChorelEngine(doem, name="root", use_planner=False)
-        queries = world_queries(history)
-        with ParallelExecutor(engine, max_workers=3) as executor:
-            batched = executor.run_many(queries)
-        for query, result in zip(queries, batched):
-            assert texts(result) == texts(legacy.run(query)), query

@@ -123,6 +123,18 @@ class TestDOEMManagerStrategies:
         self._run_polls(lean)
         assert lean.state_size("S")["cached_nodes"] == 0
 
+    def test_state_size_sees_shared_cache(self):
+        """Sharers report the cached result stored under the alias key."""
+        manager = DOEMManager(cache_previous_result=True)
+        manager.set_alias("S", "guide::q")
+        manager.set_alias("T", "guide::q")
+        self._run_polls(manager)
+        for name in ("S", "T"):
+            sizes = manager.state_size(name)
+            assert sizes["cached_nodes"] > 0, name
+            assert sizes["cached_nodes"] == \
+                len(manager.previous_result(name)), name
+
     def test_identifiers_never_reused(self):
         manager = DOEMManager()
         self._run_polls(manager)
