@@ -48,14 +48,12 @@ from .errors import (
 from .timestamps import NEG_INF, POS_INF, Timestamp, parse_timestamp
 from .obs import (
     MetricsRegistry,
-    QueryProfile,
     Span,
     Tracer,
     disable_tracing,
     enable_tracing,
     get_tracer,
     metrics_registry,
-    profile_query,
     span,
 )
 from .oem import (
@@ -151,8 +149,7 @@ __all__ = [
     "Timestamp", "parse_timestamp", "NEG_INF", "POS_INF",
     # observability
     "Tracer", "Span", "get_tracer", "enable_tracing", "disable_tracing",
-    "span", "MetricsRegistry", "metrics_registry", "QueryProfile",
-    "profile_query",
+    "span", "MetricsRegistry", "metrics_registry",
     # OEM
     "OEMDatabase", "Arc", "COMPLEX", "GraphBuilder",
     "CreNode", "UpdNode", "AddArc", "RemArc", "ChangeOp",

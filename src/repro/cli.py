@@ -8,23 +8,19 @@ Subcommands (``python -m repro <cmd> --help`` for details):
 * ``diff OLD NEW``             -- infer the change set between snapshots;
 * ``htmldiff OLD NEW``         -- marked-up HTML diff (Figure 1);
 * ``history STORE NAME``       -- show the encoded history of a stored
-  DOEM database (from a Lore store directory);
+  DOEM database (from a change-log store);
 * ``timeline STORE NAME NODE`` -- one object's full change history;
 * ``chorel STORE NAME QUERY``  -- run a Chorel query over a stored DOEM
   database (native engine; ``--translate`` shows/uses the Lorel
   translation instead);
-* ``explain QUERY``            -- run a Chorel query under the profiler
-  and print an EXPLAIN-style report (per-phase timings, index/cache hit
-  rates, rows); uses a built-in demo history unless ``--store``/``--db``
-  point at a stored DOEM database;
-* ``profile QUERY``            -- the same observation as JSON (phase
-  timings, counters, and the full span trace), for dashboards and CI
-  artifacts;
-* ``analyze QUERY``            -- EXPLAIN ANALYZE: execute the query and
-  print the physical plan tree with per-operator runtime stats (rows
-  in/out, batches, wall time, estimated-vs-actual cardinality,
-  vectorized/fallback predicate counts); same ``--store`` /
-  ``--db`` / ``--backend`` selection as ``explain``;
+* ``explain QUERY``            -- compile a Chorel query and print the
+  optimized plan tree with the pass-by-pass firing report (nothing is
+  executed); ``--analyze`` executes it and prints EXPLAIN ANALYZE
+  instead: the physical plan tree with per-operator runtime stats (rows
+  in/out, batches, wall time, estimated-vs-actual cardinality) and the
+  row count; ``--json PATH`` also writes the observation as JSON; uses a
+  built-in demo history unless ``--store``/``--db`` point at a stored
+  history;
 * ``store init|demo|info|fsck|checkpoint|compact`` -- manage a durable
   change-log store (:mod:`repro.store`): create one, persist the demo
   history, describe it, verify/repair segment and checkpoint integrity,
@@ -38,10 +34,8 @@ Subcommands (``python -m repro <cmd> --help`` for details):
   process has executed planner queries, and ``--store PATH`` adds a
   change-log store section.
 
-``history``, ``timeline``, ``chorel``, and the ``--store`` flag of
-``explain``/``profile``/``analyze`` accept either a Lore store directory
-or a change-log store (detected by its ``.doemstore`` marker); a
-change-log store is opened read-only through the process-shared handle,
+``history``, ``timeline``, ``chorel``, and ``explain --store`` read a
+change-log store, opened read-only through the process-shared handle,
 so the tools observe the same live history a QSS server in this process
 is serving.
 
@@ -63,7 +57,6 @@ from .chorel import ChorelEngine, TranslatingChorelEngine
 from .diff import html_diff, oem_diff
 from .doem.extract import encoded_history
 from .errors import ReproError
-from .lore.storage import LoreStore
 from .lorel import LorelEngine
 from .oem.serialize import dumps, loads
 
@@ -117,18 +110,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     history = commands.add_parser(
         "history", help="show the encoded history H(D) of a stored DOEM db")
-    history.add_argument("store", type=Path, help="Lore store directory")
+    history.add_argument("store", type=Path, help="change-log store directory")
     history.add_argument("name", help="stored DOEM database name")
 
     timeline = commands.add_parser(
         "timeline", help="show one object's full change history")
-    timeline.add_argument("store", type=Path, help="Lore store directory")
+    timeline.add_argument("store", type=Path, help="change-log store directory")
     timeline.add_argument("name", help="stored DOEM database name")
     timeline.add_argument("node", help="object identifier")
 
     chorel = commands.add_parser(
         "chorel", help="run a Chorel query over a stored DOEM database")
-    chorel.add_argument("store", type=Path, help="Lore store directory")
+    chorel.add_argument("store", type=Path, help="change-log store directory")
     chorel.add_argument("name", help="stored DOEM database name")
     chorel.add_argument("text", help="the Chorel query")
     chorel.add_argument("--db-name", default=None,
@@ -137,30 +130,26 @@ def build_parser() -> argparse.ArgumentParser:
                         help="use the Lorel-translation backend and print "
                              "the translated query first")
 
-    for command, summary in (("explain", "profile a Chorel query and print "
-                                         "an EXPLAIN-style report"),
-                             ("profile", "profile a Chorel query and emit "
-                                         "the observation as JSON"),
-                             ("analyze", "execute a Chorel query with "
-                                         "EXPLAIN ANALYZE: the plan tree "
-                                         "with per-operator runtime stats")):
-        sub = commands.add_parser(command, help=summary)
-        sub.add_argument("text", help="the Chorel query")
-        sub.add_argument("--store", type=Path, default=None,
-                         help="Lore store directory (default: a built-in "
-                              "demo history)")
-        sub.add_argument("--db", default=None,
-                         help="stored DOEM database name (with --store)")
-        sub.add_argument("--db-name", default=None,
+    explain = commands.add_parser(
+        "explain", help="print a Chorel query's optimized plan "
+                        "(--analyze: execute it, with per-operator stats)")
+    explain.add_argument("text", help="the Chorel query")
+    explain.add_argument("--analyze", action="store_true",
+                         help="execute the query and print EXPLAIN ANALYZE")
+    explain.add_argument("--store", type=Path, default=None,
+                         help="change-log store directory (default: a "
+                              "built-in demo history)")
+    explain.add_argument("--db", default=None,
+                         help="stored history name (with --store)")
+    explain.add_argument("--db-name", default=None,
                          help="database name for root paths")
-        sub.add_argument("--backend",
+    explain.add_argument("--backend",
                          choices=["indexed", "native", "translate"],
                          default="indexed",
-                         help="engine to profile (default: indexed)")
-        sub.add_argument("--json", type=Path, default=None, dest="json_path",
-                         help="also write the JSON observation here"
-                         if command in ("explain", "analyze") else
-                         "write the JSON here instead of stdout")
+                         help="engine to plan with (default: indexed)")
+    explain.add_argument("--json", type=Path, default=None,
+                         dest="json_path",
+                         help="also write the JSON observation here")
 
     store = commands.add_parser(
         "store", help="manage a durable change-log store (repro.store)")
@@ -242,39 +231,28 @@ def _demo_doem():
     """The built-in demo history (see ``demo_world``), as a DOEM db."""
     from .doem.build import build_doem
     from .sources.generators import demo_world
-    from .timestamps import parse_timestamp
 
-    db, history = demo_world()
-    doem = build_doem(db, history)
-    # Warm the snapshot cache so profiles report its hit rates too.
-    from .doem.snapshot import cached_snapshot_at
-    for probe in ("10Jan97", "15Jan97", "15Jan97"):
-        cached_snapshot_at(doem, parse_timestamp(probe))
-    return doem
+    return build_doem(*demo_world())
 
 
 def _open_doem(store_path: Path, name: str | None):
-    """A DOEM database from ``--store``: change-log store or Lore store.
+    """A DOEM database from a change-log store.
 
-    A change-log store (``.doemstore`` marker) is opened read-only
-    through the process-shared handle, so a CLI invocation in the same
-    process as a serving :class:`~repro.qss.server.QSSServer` observes
-    the *served* history rather than constructing an independent copy;
-    the rebuilt DOEM's snapshot cache reads through the store's durable
-    checkpoints.  Any other directory is treated as a Lore store.
+    The store is opened read-only through the process-shared handle, so
+    a CLI invocation in the same process as a serving
+    :class:`~repro.qss.server.QSSServer` observes the *served* history
+    rather than constructing an independent copy; the rebuilt DOEM's
+    snapshot cache reads through the store's durable checkpoints.
     """
-    from .store import is_store, open_store
+    from .doem.snapshot import snapshot_cache
+    from .store import open_store
 
     if name is None:
         raise ReproError("--store requires --db NAME")
-    if is_store(store_path):
-        store = open_store(store_path, "ro")
-        log = store.log(name)
-        doem = log.get_doem()
-        from .doem.snapshot import snapshot_cache
-        snapshot_cache(doem).attach_store(log)
-        return doem
-    return LoreStore(store_path).get_doem(name)
+    log = open_store(store_path, "ro").log(name)
+    doem = log.get_doem()
+    snapshot_cache(doem).attach_store(log)
+    return doem
 
 
 def _load_oem(path: Path):
@@ -347,53 +325,8 @@ def _run(args: argparse.Namespace, out) -> int:
             result = ChorelEngine(doem, name=db_name).run(args.text)
         print(result if result else "(empty result)", file=out)
 
-    elif args.command in ("explain", "profile", "analyze"):
-        if args.store is not None:
-            doem = _open_doem(args.store, args.db)
-        else:
-            doem = _demo_doem()
-        db_name = args.db_name or doem.graph.root
-        if args.backend == "native":
-            engine = ChorelEngine(doem, name=db_name)
-        elif args.backend == "translate":
-            engine = TranslatingChorelEngine(doem, name=db_name)
-        else:
-            from .chorel.optimize import IndexedChorelEngine
-            engine = IndexedChorelEngine(doem, name=db_name)
-        if args.command == "analyze":
-            import json
-            result = engine.run(args.text, analyze=True)
-            compiled = engine.last_compiled
-            print(f"-- EXPLAIN ANALYZE ({args.backend}):", file=out)
-            print(compiled.explain(analyze=True), file=out)
-            print(f"-- {len(result)} row(s)", file=out)
-            if args.json_path is not None:
-                payload = {"query": args.text,
-                           "backend": args.backend,
-                           "rows": len(result),
-                           "fingerprint": compiled.fingerprint,
-                           "plan": compiled.runtime.to_dict()}
-                args.json_path.write_text(
-                    json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-                print(f"-- JSON observation -> {args.json_path}", file=out)
-            return 0
-        engine.run(args.text, profile=True)
-        profile = engine.last_profile
-        if args.command == "explain":
-            print(profile.render(), file=out)
-            if args.json_path is not None:
-                args.json_path.write_text(profile.to_json() + "\n",
-                                          encoding="utf-8")
-                print(f"-- JSON observation -> {args.json_path}", file=out)
-        else:
-            if args.json_path is not None:
-                args.json_path.write_text(profile.to_json() + "\n",
-                                          encoding="utf-8")
-                print(f"{profile.backend}: {profile.rows} row(s) in "
-                      f"{profile.total_seconds * 1000:.3f} ms "
-                      f"-> {args.json_path}", file=out)
-            else:
-                print(profile.to_json(), file=out)
+    elif args.command == "explain":
+        _explain(args, out)
 
     elif args.command == "store":
         import json as _json
@@ -520,6 +453,56 @@ def _run(args: argparse.Namespace, out) -> int:
     else:  # pragma: no cover - argparse enforces the choices
         raise ReproError(f"unknown command {args.command!r}")
     return 0
+
+
+def _explain(args: argparse.Namespace, out) -> None:
+    """``repro explain [--analyze]``: the plan, or the executed plan.
+
+    Without ``--analyze`` the query is only compiled.  The JSON
+    observation reads the :class:`~repro.plan.CompiledPlan` and, under
+    ``--analyze``, the query-log record the execution left behind.
+    """
+    import json
+
+    from .obs.querylog import query_log
+
+    if args.store is not None:
+        doem = _open_doem(args.store, args.db)
+    else:
+        doem = _demo_doem()
+    db_name = args.db_name or doem.graph.root
+    if args.backend == "native":
+        engine = ChorelEngine(doem, name=db_name)
+    elif args.backend == "translate":
+        engine = TranslatingChorelEngine(doem, name=db_name)
+    else:
+        from .chorel.optimize import IndexedChorelEngine
+        engine = IndexedChorelEngine(doem, name=db_name)
+    payload = {"query": args.text, "backend": args.backend}
+    if args.analyze:
+        result = engine.run(args.text, analyze=True)
+        compiled = engine.last_compiled
+        record = query_log().recent(1)[-1].to_dict()
+        print(f"-- EXPLAIN ANALYZE ({args.backend}):", file=out)
+        print(compiled.explain(analyze=True), file=out)
+        print(f"-- {len(result)} row(s)", file=out)
+        payload.update({key: record[key] for key in (
+            "fingerprint", "compile_seconds", "rules_fired", "rows",
+            "execute_seconds")}, plan=compiled.runtime.to_dict())
+    else:
+        compiled = engine.compile(args.text)
+        print(f"-- EXPLAIN ({args.backend}):", file=out)
+        print(compiled.explain(), file=out)
+        print(f"fingerprint: {compiled.fingerprint}", file=out)
+        payload.update(fingerprint=compiled.fingerprint,
+                       compile_seconds=compiled.compile_seconds,
+                       rules_fired=[report.name for report in compiled.passes
+                                    if report.fired],
+                       plan=compiled.explain())
+    if args.json_path is not None:
+        args.json_path.write_text(json.dumps(payload, indent=2) + "\n",
+                                  encoding="utf-8")
+        print(f"-- JSON observation -> {args.json_path}", file=out)
 
 
 def _render_top(snapshot: dict) -> str:

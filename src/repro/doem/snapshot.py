@@ -38,7 +38,7 @@ from .model import DOEMDatabase
 
 __all__ = ["snapshot_at", "original_snapshot", "current_snapshot",
            "SnapshotCache", "SnapshotCacheStats", "snapshot_cache",
-           "cached_snapshot_at", "peek_snapshot_cache"]
+           "cached_snapshot_at"]
 
 
 def snapshot_at(doem: DOEMDatabase, when: object) -> OEMDatabase:
@@ -328,16 +328,6 @@ def snapshot_cache(doem: DOEMDatabase, capacity: int = 8) -> SnapshotCache:
             cache = SnapshotCache(doem, capacity=capacity)
             _CACHES[doem] = cache
         return cache
-
-
-def peek_snapshot_cache(doem: DOEMDatabase) -> SnapshotCache | None:
-    """The database's cache if one exists; never creates one.
-
-    The query profiler uses this to report cache activity without
-    perturbing the cache population it is observing.
-    """
-    with _CACHES_LOCK:
-        return _CACHES.get(doem)
 
 
 def cached_snapshot_at(doem: DOEMDatabase, when: object) -> OEMDatabase:

@@ -1,6 +1,6 @@
-"""repro.obs: unified tracing, metrics, and query profiling.
+"""repro.obs: unified tracing, metrics, events, and the query log.
 
-Three zero-dependency layers every query-serving component threads
+Zero-dependency layers every query-serving component threads
 through:
 
 * :mod:`repro.obs.trace` -- hierarchical wall-time spans with a
@@ -11,9 +11,10 @@ through:
   fixed-bucket histograms; the pre-existing stats classes
   (``EngineStats``, ``IndexStats``, ``SnapshotCacheStats``) register
   themselves here while keeping their original attribute APIs;
-* :mod:`repro.obs.profile` -- an EXPLAIN-style per-query profiler
-  (``repro explain`` / ``repro profile`` on the CLI, ``profile=True`` on
-  the engines).
+* :mod:`repro.obs.querylog` -- one plan-fingerprinted record per
+  executed query (compile/execute split, rules fired, slow capture);
+  with EXPLAIN ANALYZE (``repro explain --analyze``) it is the one
+  per-query profiling surface.
 
 See ``docs/observability.md`` for the operator's guide.
 """
@@ -46,7 +47,6 @@ from .events import (
     events_enabled,
 )
 from .http import MetricsHTTPServer, serve_metrics
-from .profile import QueryProfile, profile_query
 
 __all__ = [
     "Span", "Tracer", "TraceCapture", "get_tracer", "enable_tracing",
@@ -56,5 +56,4 @@ __all__ = [
     "EventLog", "configure_events", "configure_events_from_env",
     "disable_events", "emit_event", "event_log", "events_enabled",
     "MetricsHTTPServer", "serve_metrics",
-    "QueryProfile", "profile_query",
 ]

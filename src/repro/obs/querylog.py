@@ -50,7 +50,7 @@ DEFAULT_CAPACITY = 256
 DEFAULT_SLOW_CAPACITY = 32
 MAX_AGGREGATES = 512
 
-# Engine class name -> the backend label the profiler already uses.
+# Engine class name -> the backend label records carry.
 ENGINE_LABELS = {
     "LorelEngine": "lorel",
     "ChorelEngine": "chorel-native",

@@ -470,25 +470,32 @@ def _find_isomorphism(left: OEMDatabase,
                 return False
         return True
 
-    def solve(index: int) -> bool:
-        if index == len(order):
-            return True
-        node = order[index]
-        for candidate in candidates[node]:
+    # Depth-first backtracking over ``order`` with an explicit stack (one
+    # entry per assigned node, holding the next candidate position to
+    # try), so the search depth is not bounded by the recursion limit.
+    stack = [0]
+    while stack:
+        depth = len(stack) - 1
+        if depth == len(order):
+            return mapping
+        node = order[depth]
+        if node in mapping:  # backtracked into: retract the last choice
+            used.discard(mapping.pop(node))
+        options = candidates[node]
+        position = stack[-1]
+        while position < len(options):
+            candidate = options[position]
+            position += 1
             if candidate in used:
                 continue
             if (node == left.root) != (candidate == right.root):
                 continue
-            if not compatible(node, candidate):
-                continue
-            mapping[node] = candidate
-            used.add(candidate)
-            if solve(index + 1):
-                return True
-            del mapping[node]
-            used.discard(candidate)
-        return False
-
-    if solve(0):
-        return mapping
+            if compatible(node, candidate):
+                stack[-1] = position
+                mapping[node] = candidate
+                used.add(candidate)
+                stack.append(0)
+                break
+        else:
+            stack.pop()
     return None

@@ -9,13 +9,16 @@ clients.
 
 from __future__ import annotations
 
+import functools
+import json
 import threading
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable
 
-from ..errors import QSSError
+from ..errors import QSSError, ReproError, StoreCorruptionError, \
+    StoreError, SubscriptionError
 from ..obs.events import emit_event
 from ..obs.metrics import registry as metrics_registry
 from ..obs.trace import span
@@ -25,6 +28,23 @@ from .subscription import Notification, Subscription
 from .wrapper import Wrapper
 
 __all__ = ["QSSServer", "SlowPollRecord", "PollTimeout"]
+
+# The subscription table a store-backed server keeps next to the
+# histories in its change-log store (Figure 7's Subscription Store).
+TABLE_FILE = "qss.json"
+TABLE_FORMAT = 1
+
+
+def _saves_state(method):
+    """Rewrite the subscription table when ``method`` returns or raises
+    (polls completed before an error are already in the change log)."""
+    @functools.wraps(method)
+    def wrapper(self, *args, **kwargs):
+        try:
+            return method(self, *args, **kwargs)
+        finally:
+            self._save_state()
+    return wrapper
 
 
 class PollTimeout(QSSError):
@@ -62,10 +82,18 @@ class QSSServer:
     silent, the default here too; tests flip it to observe every poll.
 
     ``store`` (a :class:`~repro.store.ChangeLogStore` or a path) makes
-    the subscription histories durable: every incorporated change set is
-    appended to the store's change log, and a server restarted over the
-    same store rebuilds each subscription's DOEM from disk instead of
-    re-polling its sources (see :class:`~repro.qss.managers.DOEMManager`).
+    the server durable (Figure 7's Subscription Store and DOEM Store in
+    one directory).  Incorporated change sets are appended to the
+    store's change logs; the subscription table (clock, definitions,
+    wrapper names, ``t[i]`` polling times, next polls, DOEM keys) is
+    rewritten atomically to ``qss.json`` after every public call that
+    changes it.  A server constructed over a store with a table restores
+    it, clock included (``start`` only seeds a store without one), and
+    rebuilds each DOEM lazily from its log instead of re-polling.
+    Wrappers are not saved: re-register them by name.  Re-subscribing a
+    restored subscription with its saved definition attaches
+    ``deliver``.  A crash inside a call can leave the log one call ahead
+    of the table.
 
     Observability: every poll is wall-timed (``qss.poll_seconds``
     histogram; ``qss.polls`` / ``qss.notifications`` / ``qss.errors``
@@ -164,6 +192,10 @@ class QSSServer:
         # name -> health record (consecutive failure streaks + last
         # delivery), the state behind health() and the qss.sub.* gauges.
         self._health: dict[str, dict] = {}
+        # Restored from the table and not yet re-subscribed by a client.
+        self._restored: set[str] = set()
+        if store is not None:
+            self._restore_state()
 
     # ------------------------------------------------------------------
     # Wiring
@@ -173,35 +205,52 @@ class QSSServer:
         """Expose a wrapper (a source) to subscriptions under ``name``."""
         self.queries.register_wrapper(name, wrapper)
 
+    @_saves_state
     def subscribe(self, subscription: Subscription, wrapper_name: str,
                   deliver: Callable[[Notification], None] | None = None
                   ) -> SubscriptionState:
         """Create a subscription against a registered wrapper.
 
         The first poll is scheduled by the frequency specification,
-        starting from the current simulated clock.
+        starting from the current simulated clock.  Subscribing a
+        subscription restored from the store with its saved definition
+        keeps its schedule and history and only attaches ``deliver``.
         """
         self.queries.wrapper(wrapper_name)  # validate early
-        state = self.subscriptions.add(subscription, wrapper_name, self.clock)
-        if self.share_by_polling_query:
-            # Section 6.1's first space idea: subscriptions with the same
-            # polling query (against the same wrapper) share one DOEM.
-            key = f"{wrapper_name}::{subscription.polling_query}"
-            self.doems.set_alias(subscription.name, key)
+        name = subscription.name
+        if name in self._restored:
+            state = self.subscriptions.get(name)
+            if _definition(subscription, wrapper_name) != \
+                    _definition(state.subscription, state.wrapper_name):
+                raise SubscriptionError(
+                    f"subscription {name!r} already exists (restored from "
+                    f"the store with a different definition)")
+            self._restored.discard(name)
+        else:
+            state = self.subscriptions.add(subscription, wrapper_name,
+                                           self.clock)
+            if self.share_by_polling_query:
+                # Section 6.1's first space idea: subscriptions with the
+                # same polling query (same wrapper) share one DOEM.
+                key = f"{wrapper_name}::{subscription.polling_query}"
+                self.doems.set_alias(name, key)
         if deliver is not None:
-            self._subscribers.setdefault(subscription.name, []).append(deliver)
+            self._subscribers.setdefault(name, []).append(deliver)
         return state
 
+    @_saves_state
     def unsubscribe(self, name: str) -> None:
         """Cancel a subscription and drop its DOEM state."""
         self.subscriptions.remove(name)
         self.doems.drop(name)
         self._subscribers.pop(name, None)
+        self._restored.discard(name)
 
     # ------------------------------------------------------------------
     # The polling loop
     # ------------------------------------------------------------------
 
+    @_saves_state
     def run_until(self, when: object) -> list[Notification]:
         """Advance the simulated clock, executing every due poll in order.
 
@@ -332,6 +381,7 @@ class QSSServer:
     # requests, and source-side trigger signals.
     # ------------------------------------------------------------------
 
+    @_saves_state
     def poll_now(self, name: str) -> Notification | None:
         """Poll one subscription immediately, at the current clock.
 
@@ -348,6 +398,7 @@ class QSSServer:
                 f"{state.polling_times[-1]} already happened")
         return self._execute_poll(state, self.clock)
 
+    @_saves_state
     def on_source_signal(self, wrapper_name: str) -> list[Notification]:
         """React to a source-side trigger firing (the paper's third mode).
 
@@ -496,21 +547,80 @@ class QSSServer:
         """The poll :class:`~repro.parallel.pool.WorkerPool`, if created."""
         return self._poll_pool
 
+    @_saves_state
     def close(self) -> None:
         """Release the poll pool (no-op for a serial server).
 
         Does not wait for lingering timed-out polls -- a source that
         never returns must not be able to hang shutdown either.  An
-        attached store is flushed but left open: the handle is process
-        shared (``repro explain --store`` against the same path reads
-        through it), so the last owner closes it via
-        :func:`repro.store.close_store`.
+        attached store gets a final subscription table and is flushed
+        but left open: the handle is process shared (``repro explain
+        --store`` against the same path reads through it), so the last
+        owner closes it via :func:`repro.store.close_store`.
         """
         if self._poll_pool is not None:
             self._poll_pool.shutdown(wait=False, cancel_pending=True)
             self._poll_pool = None
         if self.store is not None and not self.store.closed:
             self.store.flush()
+
+    # ------------------------------------------------------------------
+    # The subscription table (durable servers only)
+    # ------------------------------------------------------------------
+
+    def _save_state(self) -> None:
+        """Rewrite the store's subscription table (no-op without a
+        writable store: a read-only handle never writes)."""
+        if self.store is None or self.store.closed or \
+                self.store.mode != "rw":
+            return
+        from ..store.log import write_json_atomic
+        records = []
+        for state in self.subscriptions.states():
+            record = _definition(state.subscription, state.wrapper_name)
+            record.update(
+                polling_times=[when.ticks for when in state.polling_times],
+                next_poll=state.next_poll.ticks,
+                doem_key=self.doems._key(state.subscription.name))
+            records.append(record)
+        write_json_atomic(self.store.path / TABLE_FILE,
+                          {"format": TABLE_FORMAT, "clock": self.clock.ticks,
+                           "subscriptions": records})
+
+    def _restore_state(self) -> None:
+        """Load the store's subscription table, if it has one.
+
+        An unreadable or unknown-format table raises rather than
+        silently starting with no subscriptions.
+        """
+        path = self.store.path / TABLE_FILE
+        try:
+            table = json.loads(path.read_text("utf-8"))
+        except FileNotFoundError:
+            return
+        except (OSError, ValueError) as exc:
+            raise StoreCorruptionError(
+                f"{path}: unreadable subscription table: {exc}") from exc
+        if not isinstance(table, dict) or table.get("format") != TABLE_FORMAT:
+            raise StoreError(f"{path}: unsupported subscription table "
+                             f"format (want {{'format': {TABLE_FORMAT}}})")
+        try:
+            self.clock = Timestamp(table["clock"])
+            for record in table["subscriptions"]:
+                subscription = Subscription(
+                    **{field: record[field] for field in _DEFINITION})
+                state = self.subscriptions.add(
+                    subscription, record["wrapper"], self.clock)
+                state.polling_times = [Timestamp(ticks) for ticks
+                                       in record["polling_times"]]
+                state.next_poll = Timestamp(record["next_poll"])
+                if record["doem_key"] != subscription.name:
+                    self.doems.set_alias(subscription.name,
+                                         record["doem_key"])
+                self._restored.add(subscription.name)
+        except (KeyError, TypeError, ValueError, ReproError) as exc:
+            raise StoreCorruptionError(
+                f"{path}: malformed subscription table: {exc}") from exc
 
     def __enter__(self) -> "QSSServer":
         return self
@@ -624,3 +734,15 @@ class QSSServer:
                     node_value = doem.graph.value(value.node)
                     snapshot.create_node(value.node, node_value)
         return filtered.as_oem(snapshot, root="notification")
+
+
+_DEFINITION = ("name", "frequency", "polling_query", "filter_query",
+               "polling_name", "user")
+
+
+def _definition(subscription: Subscription, wrapper_name: str) -> dict:
+    """What defines a subscription, as its subscription-table record."""
+    record = {field: str(getattr(subscription, field))
+              for field in _DEFINITION}
+    record["wrapper"] = wrapper_name
+    return record

@@ -163,14 +163,23 @@ def _read_current(directory: Path) -> int:
             f"{path}: unreadable CURRENT manifest: {exc}") from exc
 
 
-def _write_current(directory: Path, generation: int) -> None:
-    tmp = directory / (_CURRENT + ".tmp")
+def write_json_atomic(path: Path, payload) -> None:
+    """Replace ``path`` with ``payload`` as JSON, all or nothing.
+
+    tmp file, fsync, ``os.replace``, directory fsync: a crash leaves
+    either the old file or the new one, never a torn mix.
+    """
+    tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump({"generation": generation}, handle)
+        json.dump(payload, handle)
         handle.flush()
         os.fsync(handle.fileno())
-    os.replace(tmp, directory / _CURRENT)
-    _fsync_dir(directory)
+    os.replace(tmp, path)
+    _fsync_dir(path.parent)
+
+
+def _write_current(directory: Path, generation: int) -> None:
+    write_json_atomic(directory / _CURRENT, {"generation": generation})
 
 
 class HistoryLog:

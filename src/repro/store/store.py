@@ -17,8 +17,8 @@ frames, so a reader sees a consistent durable prefix at worst.
 cache keyed by the store's real path, so the CLI's ``--store`` paths and
 a QSS server in the same process observe the *same* live handle (and
 therefore the same in-memory tips and stats) instead of each loading an
-independent copy -- the shared-handle fix for ``repro
-explain/analyze/top`` against a served history.  A cached read-only
+independent copy -- the shared-handle fix for ``repro explain`` /
+``repro top`` against a served history.  A cached read-only
 handle is transparently upgraded when a writer asks for ``"rw"``.
 """
 

@@ -1,23 +1,21 @@
-"""Query profiling: observation must not change evaluation."""
+"""Per-query observation: engine span trees, counters, and EXPLAIN ANALYZE.
 
-import json
+A query is observed through the surfaces every engine already feeds: a
+one-off :meth:`~repro.obs.trace.Tracer.capture` of its span tree, the
+engines' own counters, the plan-fingerprinted query log, and
+``compiled.explain(analyze=True)``.
+"""
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
 
 from repro import (
     ChorelEngine,
     IndexedChorelEngine,
     LorelEngine,
     TranslatingChorelEngine,
-    build_doem,
     current_snapshot,
-    profile_query,
-    random_database,
-    random_history,
 )
-from repro.obs.profile import QueryProfile
+from repro.obs.querylog import query_log
 from repro.obs.trace import get_tracer
 
 UPD_QUERY = ("select T, NV from guide.restaurant.price<upd at T to NV> "
@@ -35,63 +33,33 @@ def tracer_off():
     tracer.clear()
 
 
-def rows(result):
-    return sorted(map(str, result))
+def captured_root(engine, query):
+    """The root span of one captured run of ``query``."""
+    with get_tracer().capture() as capture:
+        engine.run(query)
+    assert len(capture.spans) == 1
+    return capture.spans[0]
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("make_engine", [
-        ChorelEngine, IndexedChorelEngine, TranslatingChorelEngine])
-    def test_profiled_rows_equal_unprofiled(self, guide_doem, make_engine):
-        engine = make_engine(guide_doem, name="guide")
-        plain = engine.run(UPD_QUERY)
-        profiled = engine.run(UPD_QUERY, profile=True)
-        assert rows(profiled) == rows(plain)
-        assert isinstance(engine.last_profile, QueryProfile)
-        assert engine.last_profile.rows == len(plain)
-
     def test_lorel_engine_profiles_too(self, guide_doem):
-        snapshot = current_snapshot(guide_doem)
-        engine = LorelEngine(snapshot, name="guide")
-        query = "select guide.restaurant.name"
-        plain = engine.run(query)
-        profiled = engine.run(query, profile=True)
-        assert rows(profiled) == rows(plain)
-        assert engine.last_profile.backend == "lorel"
-        assert "lorel.eval" in engine.last_profile.phase_times()
-
-    @settings(max_examples=12, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(seed=st.integers(min_value=0, max_value=500),
-           steps=st.integers(min_value=1, max_value=4))
-    def test_profiled_equals_unprofiled_over_random_worlds(self, seed, steps):
-        """Property: for arbitrary generated histories, profiling a query
-        returns exactly the rows the plain run returns, on both the
-        native and the indexed backend."""
-        db = random_database(seed=seed, nodes=25)
-        history = random_history(db, seed=seed, steps=steps, set_size=6)
-        doem = build_doem(db, history)
-        times = history.timestamps()
-        low = times[len(times) // 2]
-        query = f"select T from root.# X, X.%<cre at T> where T > {low}"
-        for make_engine in (ChorelEngine, IndexedChorelEngine):
-            engine = make_engine(doem, name="root")
-            assert rows(engine.run(query, profile=True)) == \
-                rows(engine.run(query))
+        """The Lorel engine is observed through the same surfaces as the
+        Chorel engines: a span tree and a labelled query-log record."""
+        engine = LorelEngine(current_snapshot(guide_doem), name="guide")
+        query_log().reset()
+        root = captured_root(engine, "select guide.restaurant.name")
+        assert root.name == "lorel.query"
+        assert [child.name for child in root.children] == \
+            ["lorel.parse", "plan.compile", "lorel.eval"]
+        record = query_log().recent(1)[-1]
+        assert record.engine == "lorel"
+        assert record.rows == 3
 
 
 class TestObservation:
-    def test_tracer_left_as_found(self, guide_doem):
-        engine = ChorelEngine(guide_doem, name="guide")
-        engine.run(UPD_QUERY, profile=True)
-        tracer = get_tracer()
-        assert not tracer.enabled
-        assert tracer.roots == []  # one-off profiling leaves no residue
-
     def test_phase_nesting_native(self, guide_doem):
         engine = ChorelEngine(guide_doem, name="guide")
-        engine.run(UPD_QUERY, profile=True)
-        root = engine.last_profile.spans[0]
+        root = captured_root(engine, UPD_QUERY)
         assert root.name == "chorel.query"
         names = [child.name for child in root.children]
         assert "chorel.parse" in names
@@ -99,70 +67,40 @@ class TestObservation:
 
     def test_phase_nesting_indexed(self, guide_doem):
         engine = IndexedChorelEngine(guide_doem, name="guide")
-        engine.run(ADD_QUERY, profile=True)
-        profile = engine.last_profile
-        root = profile.spans[0]
+        root = captured_root(engine, ADD_QUERY)
         assert root.name == "chorel.query"
         names = [child.name for child in root.children]
         assert names == ["chorel.parse", "chorel.optimize",
                          "chorel.index_scan"]
-        assert profile.plan is not None
-        assert "index-scan" in profile.plan
+        assert "index-scan" in root.find("chorel.index_scan").attrs["plan"]
+        assert engine.last_plan is not None
 
     def test_phase_nesting_translate(self, guide_doem):
         """The full translate -> optimize -> eval pipeline shows up as
         one nested span tree under the query root."""
         engine = TranslatingChorelEngine(guide_doem, name="guide")
-        engine.run(UPD_QUERY, profile=True)
-        root = engine.last_profile.spans[0]
+        root = captured_root(engine, UPD_QUERY)
         assert root.name == "chorel.query"
         names = [child.name for child in root.children]
         assert "chorel.parse" in names
         assert "chorel.translate" in names
         assert "lorel.eval" in names
-        assert engine.last_profile.plan.startswith("translate-to-lorel:")
-
-    def test_counters_are_per_run_deltas(self, guide_doem):
-        engine = ChorelEngine(guide_doem, name="guide")
-        engine.run(UPD_QUERY)  # warm the counters: deltas must not see this
-        visits_after_one = engine.annotation_visits
-        assert visits_after_one > 0
-        engine.run(UPD_QUERY, profile=True)
-        delta = engine.last_profile.counters["view.annotation_visits"]
-        assert delta == visits_after_one  # one run's worth, not cumulative
+        assert engine.last_translation is not None
 
     def test_indexed_counters_present(self, guide_doem):
         engine = IndexedChorelEngine(guide_doem, name="guide")
-        engine.run(ADD_QUERY, profile=True)
-        counters = engine.last_profile.counters
-        assert counters["engine.indexed_queries"] == 1
-        assert counters["index.lookups"] >= 1
-        assert "path_index.hit_rate" in counters
-
-    def test_profile_query_function(self, guide_doem):
-        engine = ChorelEngine(guide_doem, name="guide")
-        result, profile = profile_query(engine, UPD_QUERY)
-        assert rows(result) == rows(engine.run(UPD_QUERY))
-        assert profile.backend == "chorel-native"
-        assert profile.total_seconds > 0
+        engine.run(ADD_QUERY)
+        assert engine.stats.as_dict()["indexed_queries"] == 1
+        assert engine.index.stats.as_dict()["lookups"] >= 1
+        assert "hit_rate" in engine.paths.stats.as_dict()
 
 
 class TestRendering:
     def test_render_contains_the_headline_facts(self, guide_doem):
         engine = IndexedChorelEngine(guide_doem, name="guide")
-        engine.run(ADD_QUERY, profile=True)
-        report = engine.last_profile.render()
-        assert report.startswith(f"EXPLAIN {ADD_QUERY}")
-        assert "backend: chorel-indexed" in report
-        assert "chorel.index_scan" in report
-        assert "index.hit_rate" in report
-
-    def test_json_round_trip(self, guide_doem):
-        engine = ChorelEngine(guide_doem, name="guide")
-        engine.run(UPD_QUERY, profile=True)
-        payload = json.loads(engine.last_profile.to_json())
-        assert payload["backend"] == "chorel-native"
-        assert payload["rows"] == engine.last_profile.rows
-        assert payload["trace"][0]["name"] == "chorel.query"
-        assert payload["phases"]["chorel.query"] == \
-            pytest.approx(payload["total_seconds"])
+        result = engine.run(ADD_QUERY, analyze=True)
+        report = engine.last_compiled.explain(analyze=True)
+        assert report.startswith("AnnotationFilter ")
+        assert f"-> {len(result)}," in report.splitlines()[0]
+        assert f"fingerprint: {engine.last_compiled.fingerprint}" in report
+        assert "index-selection              fired" in report

@@ -229,6 +229,43 @@ class TestIsomorphism:
         clone = ser.loads(ser.dumps(guide_db))
         assert guide_db.isomorphic_to(clone)
 
+    def test_refinement_ties_resolved_by_backtracking(self):
+        """A 6-cycle and two 3-cycles get identical structural signatures;
+        only the backtracking search tells them apart."""
+        def cycles(prefix, sizes):
+            db = OEMDatabase(root="r")
+            start = 0
+            for size in sizes:
+                ids = [f"{prefix}{start + i}" for i in range(size)]
+                start += size
+                for node in ids:
+                    db.create_node(node, COMPLEX)
+                    db.add_arc("r", "n", node)
+                for i in range(size):
+                    db.add_arc(ids[i], "e", ids[(i + 1) % size])
+            return db
+        assert not cycles("a", [6]).isomorphic_to(cycles("b", [3, 3]))
+        assert not cycles("a", [4, 4, 4]).isomorphic_to(cycles("b", [6, 6]))
+        assert cycles("a", [3, 6, 3]).isomorphic_to(cycles("b", [3, 3, 6]))
+
+    def test_large_snapshots_within_default_recursion_limit(self):
+        """Two polls of a 200-restaurant guide (about 1,600 nodes) compare
+        without overflowing the interpreter's default recursion limit."""
+        import sys
+
+        from repro.sources.restaurant_guide import RestaurantGuideSource
+
+        assert sys.getrecursionlimit() <= 1000
+        source = RestaurantGuideSource(seed=3, initial_restaurants=200)
+        source.advance("2Dec96")
+        first, second = source.export(), source.export()
+        assert len(first) > sys.getrecursionlimit()
+        assert not first.same_as(second)  # identifiers are scrambled
+        assert first.isomorphic_to(second)
+        second.update_value(next(n for n in second.nodes()
+                                 if second.value(n) == 10), 11)
+        assert not first.isomorphic_to(second)
+
 
 class TestPresentation:
     def test_describe_contains_values(self, tiny):

@@ -137,11 +137,6 @@ class TestOperatorAccounting:
         with pytest.raises(ValueError, match="planner"):
             legacy.run(CHAIN_QUERY, analyze=True)
 
-    def test_profile_and_analyze_are_exclusive(self, doem):
-        engine = ChorelEngine(doem, name="guide")
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            engine.run(CHAIN_QUERY, profile=True, analyze=True)
-
 
 class TestFingerprint:
     def test_stable_across_compiles(self, doem):

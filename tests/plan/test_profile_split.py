@@ -1,12 +1,9 @@
-"""``profile=True`` separates compile time from execute time.
+"""Observation separates compile time from execute time.
 
-The bugfix under test: profiles used to report only a total; now the
-:class:`~repro.obs.profile.QueryProfile` splits planning cost
-(``compile_seconds``: the ``plan.compile`` span, or ``chorel.optimize``
-which encloses it on the indexed engine, plus ``chorel.translate``) from
-operator cost (``execute_seconds``: ``lorel.eval`` +
-``chorel.index_scan``) -- in ``to_dict``/JSON and in the rendered
-report -- and attaches the optimized plan tree.
+Every planner execution leaves one query-log record that splits
+planning cost (``compile_seconds``, measured inside ``plan.compile``)
+from operator cost (``execute_seconds``); ``repro explain --analyze
+--json`` reports the same split together with the plan tree.
 """
 
 import json
@@ -19,66 +16,81 @@ from repro import (
     LorelEngine,
     TranslatingChorelEngine,
 )
+from repro.cli import main
+from repro.obs.querylog import query_log
 from tests.conftest import make_guide_db
+
+DEMO_QUERY = "select T, X from root.<add at T>item X where T > 20Jan97"
+PUSHDOWN_QUERY = "select root.<add at 5Jan97>item"
+
+
+def last_record():
+    return query_log().recent(1)[-1]
+
+
+def explain_json(tmp_path, *argv):
+    path = tmp_path / "explain.json"
+    out_path = tmp_path / "stdout.txt"
+    with open(out_path, "w", encoding="utf-8") as out:
+        assert main(["explain", *argv, "--json", str(path)], out=out) == 0
+    return (json.loads(path.read_text(encoding="utf-8")),
+            out_path.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("engine_cls", [
     ChorelEngine, IndexedChorelEngine, TranslatingChorelEngine])
 def test_profile_splits_compile_and_execute(engine_cls, guide_doem):
     engine = engine_cls(guide_doem, name="guide")
-    engine.run("select guide.<add at T>restaurant where T < 4Jan97",
-               profile=True)
-    profile = engine.last_profile
-    data = profile.to_dict()
-    assert data["compile_seconds"] > 0.0
-    assert data["execute_seconds"] > 0.0
-    assert data["compile_seconds"] + data["execute_seconds"] \
-        <= data["total_seconds"]
+    result = engine.run("select guide.<add at T>restaurant where T < 4Jan97")
+    record = last_record()
+    assert record.compile_seconds == engine.last_compiled.compile_seconds
+    assert record.compile_seconds > 0.0
+    assert record.execute_seconds > 0.0
+    assert record.wall_seconds == pytest.approx(
+        record.compile_seconds + record.execute_seconds)
+    assert record.rows == len(result)
 
 
 def test_lorel_profile_split():
     engine = LorelEngine(make_guide_db(), name="guide")
-    engine.run("select guide.restaurant", profile=True)
-    data = engine.last_profile.to_dict()
-    assert data["compile_seconds"] > 0.0
-    assert data["execute_seconds"] > 0.0
+    engine.run("select guide.restaurant")
+    record = last_record()
+    assert record.engine == "lorel"
+    assert record.compile_seconds > 0.0
+    assert record.execute_seconds > 0.0
 
 
-def test_profile_carries_plan_tree(guide_doem):
-    engine = IndexedChorelEngine(guide_doem, name="guide")
-    engine.run("select guide.<add at 5Jan97>restaurant", profile=True)
-    profile = engine.last_profile
-    assert profile.plan_tree is not None
-    assert profile.plan_tree.startswith("AnnotationFilter ")
-    assert "passes:" in profile.plan_tree
+def test_profile_carries_plan_tree(tmp_path):
+    payload, _ = explain_json(tmp_path, PUSHDOWN_QUERY)
+    assert payload["plan"].startswith("AnnotationFilter ")
+    assert "passes:" in payload["plan"]
+    assert "execute_seconds" not in payload  # nothing was executed
 
 
-def test_render_includes_plan_tree_and_split(guide_doem):
-    engine = IndexedChorelEngine(guide_doem, name="guide")
-    engine.run("select guide.<add at 5Jan97>restaurant", profile=True)
-    report = engine.last_profile.render()
-    assert "optimized plan:" in report
-    assert "compile " in report and "execute " in report
-    assert "annotation-literal-pushdown" in report
+def test_render_includes_plan_tree_and_split(tmp_path):
+    payload, text = explain_json(tmp_path, PUSHDOWN_QUERY, "--analyze")
+    assert "AnnotationFilter" in text
+    assert "annotation-literal-pushdown" in text
+    assert payload["compile_seconds"] > 0.0
+    assert payload["execute_seconds"] > 0.0
+    assert payload["plan"]["execute_seconds"] == \
+        pytest.approx(payload["execute_seconds"], abs=1e-6)
 
 
 def test_legacy_mode_has_no_plan_tree(guide_doem):
     engine = ChorelEngine(guide_doem, name="guide", use_planner=False)
-    engine.run("select guide.restaurant", profile=True)
-    assert engine.last_profile.plan_tree is None
+    query_log().reset()
+    engine.run("select guide.restaurant")
+    assert engine.last_compiled is None
+    assert len(query_log()) == 0  # the legacy evaluator is not a plan
 
 
-def test_profile_json_round_trips(guide_doem):
-    engine = IndexedChorelEngine(guide_doem, name="guide")
-    engine.run("select guide.<add>restaurant", profile=True)
-    data = json.loads(engine.last_profile.to_json())
-    for key in ("compile_seconds", "execute_seconds", "plan_tree"):
-        assert key in data
-
-
-def test_profiled_rows_equal_unprofiled(guide_doem):
-    engine = IndexedChorelEngine(guide_doem, name="guide")
-    query = "select guide.<add at T>restaurant where T < 4Jan97"
-    plain = list(map(str, engine.run(query)))
-    profiled = list(map(str, engine.run(query, profile=True)))
-    assert profiled == plain
+def test_profile_json_round_trips(tmp_path):
+    payload, _ = explain_json(tmp_path, DEMO_QUERY, "--analyze")
+    for key in ("query", "backend", "fingerprint", "compile_seconds",
+                "rules_fired", "rows", "execute_seconds", "plan"):
+        assert key in payload
+    record = last_record()
+    assert payload["fingerprint"] == record.fingerprint
+    assert payload["rules_fired"] == list(record.rules_fired)
+    assert payload["rows"] == record.rows == 10

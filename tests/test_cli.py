@@ -6,6 +6,8 @@ import pytest
 
 from repro import LoreStore, build_doem, dumps
 from repro.cli import main
+from repro.obs.querylog import query_log
+from repro.store import close_store, open_store
 from tests.conftest import make_guide_db, make_guide_history
 
 
@@ -18,11 +20,13 @@ def guide_file(tmp_path):
 
 @pytest.fixture
 def doem_store(tmp_path):
+    """A change-log store holding the guide history as ``guidehist``."""
     store_dir = tmp_path / "store"
-    store = LoreStore(store_dir)
-    store.put_doem("guidehist",
-                   build_doem(make_guide_db(), make_guide_history()))
-    return store_dir
+    open_store(store_dir, "rw").put_history(
+        "guidehist", make_guide_db(), make_guide_history())
+    close_store(store_dir)
+    yield store_dir
+    close_store(store_dir)
 
 
 def run_cli(*argv):
@@ -145,83 +149,91 @@ class TestHistoryAndChorel:
     def test_unknown_store_name(self, doem_store):
         assert run_cli("chorel", str(doem_store), "nope", "select x")[0] == 1
 
+    def test_lore_store_is_not_read(self, tmp_path):
+        lore_dir = tmp_path / "lore"
+        LoreStore(lore_dir).put_doem(
+            "guidehist", build_doem(make_guide_db(), make_guide_history()))
+        assert run_cli("history", str(lore_dir), "guidehist")[0] == 1
+
 
 DEMO_QUERY = "select T, X from root.<add at T>item X where T > 20Jan97"
 
 
 class TestExplainAndProfile:
+    """``repro explain``: compile only, print the plan (no execution)."""
+
     def test_explain_demo(self):
         code, text = run_cli("explain", DEMO_QUERY)
         assert code == 0
-        assert text.startswith(f"EXPLAIN {DEMO_QUERY}")
-        assert "backend: chorel-indexed" in text
-        assert "plan:    index-scan add" in text
-        assert "chorel.index_scan" in text
-        assert "index.hit_rate" in text
+        assert text.startswith("-- EXPLAIN (indexed):")
+        assert "AnnotationFilter index-scan add over root.item" in text
+        assert "index-selection              fired" in text
+        assert "fingerprint:" in text
+
+    def test_explain_does_not_execute(self):
+        query_log().reset()
+        code, text = run_cli("explain", DEMO_QUERY)
+        assert code == 0
+        assert len(query_log()) == 0
+        assert "row(s)" not in text
 
     def test_explain_backends(self):
-        for backend, label in (("native", "chorel-native"),
-                               ("translate", "chorel-translate")):
-            code, text = run_cli("explain", DEMO_QUERY,
-                                 "--backend", backend)
-            assert code == 0
-            assert f"backend: {label}" in text
+        code, text = run_cli("explain", DEMO_QUERY, "--backend", "native")
+        assert code == 0
+        assert text.startswith("-- EXPLAIN (native):")
+        assert "AnnotationFilter" not in text
+        for op in ("Project", "Predicate", "PathExpand", "Scan"):
+            assert op in text, op
+        code, text = run_cli("explain", DEMO_QUERY, "--backend", "translate")
+        assert code == 0
+        assert "root.&item-history" in text  # the translated Lorel plan
 
-    def test_backends_agree_on_rows(self):
-        import re
+    def test_backends_agree_on_rows(self, tmp_path):
+        import json
         counts = set()
         for backend in ("indexed", "native", "translate"):
-            code, text = run_cli("explain", DEMO_QUERY,
-                                 "--backend", backend)
+            sidecar = tmp_path / f"{backend}.json"
+            code, _ = run_cli("explain", DEMO_QUERY, "--analyze",
+                              "--backend", backend, "--json", str(sidecar))
             assert code == 0
-            counts.add(re.search(r"rows:\s+(\d+)", text).group(1))
-        assert len(counts) == 1
+            counts.add(json.loads(sidecar.read_text("utf-8"))["rows"])
+        assert counts == {10}
 
     def test_explain_with_json_sidecar(self, tmp_path):
         import json
-        trace = tmp_path / "trace.json"
-        code, text = run_cli("explain", DEMO_QUERY, "--json", str(trace))
+        sidecar = tmp_path / "explain.json"
+        code, text = run_cli("explain", DEMO_QUERY, "--json", str(sidecar))
         assert code == 0
-        assert f"-- JSON observation -> {trace}" in text
-        payload = json.loads(trace.read_text(encoding="utf-8"))
-        assert payload["backend"] == "chorel-indexed"
-        assert payload["trace"][0]["name"] == "chorel.query"
-
-    def test_profile_stdout_json(self):
-        import json
-        code, text = run_cli("profile", DEMO_QUERY)
-        assert code == 0
-        payload = json.loads(text)
+        assert f"-- JSON observation -> {sidecar}" in text
+        payload = json.loads(sidecar.read_text(encoding="utf-8"))
         assert payload["query"] == DEMO_QUERY
-        assert payload["rows"] > 0
-        assert "chorel.parse" in payload["phases"]
-
-    def test_profile_json_file(self, tmp_path):
-        import json
-        trace = tmp_path / "profile.json"
-        code, text = run_cli("profile", DEMO_QUERY, "--json", str(trace))
-        assert code == 0
-        assert "row(s)" in text
-        assert json.loads(trace.read_text(encoding="utf-8"))["rows"] > 0
+        assert payload["backend"] == "indexed"
+        assert payload["fingerprint"] in text
+        assert payload["rules_fired"] == ["index-selection"]
+        assert payload["compile_seconds"] > 0
+        assert payload["plan"].startswith("AnnotationFilter ")
+        assert "rows" not in payload and "execute_seconds" not in payload
 
     def test_explain_against_store(self, doem_store):
         code, text = run_cli("explain", "select guide.<add at T>restaurant",
                              "--store", str(doem_store), "--db", "guidehist")
         assert code == 0
-        assert "backend: chorel-indexed" in text
-        assert "rows:    1" in text
+        assert "AnnotationFilter index-scan add over guide.restaurant" in text
 
     def test_store_requires_db(self, doem_store):
         code, _ = run_cli("explain", DEMO_QUERY, "--store", str(doem_store))
         assert code == 1
 
-    def test_profile_parse_error(self):
-        assert run_cli("profile", "select ???")[0] == 1
+    def test_explain_parse_error(self):
+        assert run_cli("explain", "select ???")[0] == 1
+        assert run_cli("explain", "select ???", "--analyze")[0] == 1
 
 
 class TestAnalyze:
+    """``repro explain --analyze``: execute and print EXPLAIN ANALYZE."""
+
     def test_analyze_demo_prints_runtime_tree(self):
-        code, text = run_cli("analyze", DEMO_QUERY)
+        code, text = run_cli("explain", DEMO_QUERY, "--analyze")
         assert code == 0
         assert "-- EXPLAIN ANALYZE (indexed):" in text
         assert "rows" in text and "time" in text  # per-operator stats
@@ -232,14 +244,15 @@ class TestAnalyze:
         import re
         counts = set()
         for backend in ("indexed", "native", "translate"):
-            code, text = run_cli("analyze", DEMO_QUERY,
+            code, text = run_cli("explain", DEMO_QUERY, "--analyze",
                                  "--backend", backend)
             assert code == 0
             counts.add(re.search(r"-- (\d+) row\(s\)", text).group(1))
         assert counts == {"10"}
 
     def test_native_backend_shows_operator_chain(self):
-        code, text = run_cli("analyze", DEMO_QUERY, "--backend", "native")
+        code, text = run_cli("explain", DEMO_QUERY, "--analyze",
+                             "--backend", "native")
         assert code == 0
         for op in ("Project", "Predicate", "PathExpand", "Scan"):
             assert op in text, op
@@ -248,8 +261,8 @@ class TestAnalyze:
     def test_analyze_json_sidecar(self, tmp_path):
         import json
         sidecar = tmp_path / "analyze.json"
-        code, text = run_cli("analyze", DEMO_QUERY, "--backend", "native",
-                             "--json", str(sidecar))
+        code, text = run_cli("explain", DEMO_QUERY, "--analyze",
+                             "--backend", "native", "--json", str(sidecar))
         assert code == 0
         assert f"-- JSON observation -> {sidecar}" in text
         payload = json.loads(sidecar.read_text(encoding="utf-8"))
@@ -257,24 +270,29 @@ class TestAnalyze:
         assert payload["backend"] == "native"
         assert payload["rows"] == 10
         assert payload["fingerprint"]
+        assert payload["compile_seconds"] > 0
+        assert payload["execute_seconds"] > 0
+        assert isinstance(payload["rules_fired"], list)
         ops = payload["plan"]["ops"]
         assert ops and ops[0]["rows_out"] == 10
         assert payload["plan"]["fingerprint"] == payload["fingerprint"]
 
     def test_analyze_against_store(self, doem_store):
-        code, text = run_cli("analyze", "select guide.<add at T>restaurant",
-                             "--store", str(doem_store), "--db", "guidehist")
+        code, text = run_cli("explain", "select guide.<add at T>restaurant",
+                             "--analyze", "--store", str(doem_store),
+                             "--db", "guidehist")
         assert code == 0
         assert "AnnotationFilter" in text
+        assert "-- 1 row(s)" in text
 
     def test_analyze_parse_error(self):
-        assert run_cli("analyze", "select ???")[0] == 1
+        assert run_cli("explain", "select ???", "--analyze")[0] == 1
 
     def test_top_table_appends_query_aggregates(self):
         """After an in-process analyze, the top table carries the
         query-log section (the --json payload stays metrics-only)."""
         import json
-        run_cli("analyze", DEMO_QUERY)
+        run_cli("explain", DEMO_QUERY, "--analyze")
         code, text = run_cli("top", "--once", "--prefix", "repro.querylog")
         assert code == 0
         assert "fingerprint" in text
