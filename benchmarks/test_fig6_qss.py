@@ -96,6 +96,6 @@ def test_fig6_single_poll_cycle_cost(benchmark):
 
     def one_cycle():
         when = state.next_poll
-        return server._execute_poll(state, when)
+        return server._poll_batch([state], when)
 
     benchmark.pedantic(one_cycle, rounds=5, iterations=1)

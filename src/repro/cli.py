@@ -37,7 +37,9 @@ Subcommands (``python -m repro <cmd> --help`` for details):
 ``history``, ``timeline``, ``chorel``, and ``explain --store`` read a
 change-log store, opened read-only through the process-shared handle,
 so the tools observe the same live history a QSS server in this process
-is serving.
+is serving.  Their history name may also be a QSS subscription's name:
+it resolves through the store's subscription table to the history of
+the subscription's poll key.
 
 The global ``--events PATH`` flag (or the ``REPRO_EVENTS`` environment
 variable) turns on the structured JSONL event log for any subcommand.
@@ -111,18 +113,21 @@ def build_parser() -> argparse.ArgumentParser:
     history = commands.add_parser(
         "history", help="show the encoded history H(D) of a stored DOEM db")
     history.add_argument("store", type=Path, help="change-log store directory")
-    history.add_argument("name", help="stored DOEM database name")
+    history.add_argument("name", help="stored DOEM database or "
+                                      "subscription name")
 
     timeline = commands.add_parser(
         "timeline", help="show one object's full change history")
     timeline.add_argument("store", type=Path, help="change-log store directory")
-    timeline.add_argument("name", help="stored DOEM database name")
+    timeline.add_argument("name", help="stored DOEM database or "
+                                       "subscription name")
     timeline.add_argument("node", help="object identifier")
 
     chorel = commands.add_parser(
         "chorel", help="run a Chorel query over a stored DOEM database")
     chorel.add_argument("store", type=Path, help="change-log store directory")
-    chorel.add_argument("name", help="stored DOEM database name")
+    chorel.add_argument("name", help="stored DOEM database or "
+                                     "subscription name")
     chorel.add_argument("text", help="the Chorel query")
     chorel.add_argument("--db-name", default=None,
                         help="database name for root paths")
@@ -140,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="change-log store directory (default: a "
                               "built-in demo history)")
     explain.add_argument("--db", default=None,
-                         help="stored history name (with --store)")
+                         help="stored history or subscription name "
+                              "(with --store)")
     explain.add_argument("--db-name", default=None,
                          help="database name for root paths")
     explain.add_argument("--backend",
@@ -243,13 +249,17 @@ def _open_doem(store_path: Path, name: str | None):
     :class:`~repro.qss.server.QSSServer` observes the *served* history
     rather than constructing an independent copy; the rebuilt DOEM's
     snapshot cache reads through the store's durable checkpoints.
+    ``name`` is a history name or the name of a subscription in the
+    store's QSS subscription table (its poll key's history).
     """
     from .doem.snapshot import snapshot_cache
+    from .qss.server import history_name
     from .store import open_store
 
     if name is None:
         raise ReproError("--store requires --db NAME")
-    log = open_store(store_path, "ro").log(name)
+    store = open_store(store_path, "ro")
+    log = store.log(history_name(store, name))
     doem = log.get_doem()
     snapshot_cache(doem).attach_store(log)
     return doem

@@ -19,7 +19,9 @@ substitution) lives in :meth:`DOEMManager.filter_engine`.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..chorel.engine import ChorelEngine
 from ..diff.oemdiff import DiffStats, oem_diff
@@ -50,12 +52,31 @@ class SubscriptionState:
         """How many polls have completed."""
         return len(self.polling_times)
 
+    @cached_property
+    def poll_key(self) -> str:
+        """The history this subscription shares: wrapper name and
+        normalised polling query (Section 6.1's merged DOEM databases).
+
+        Every subscription with the same key reads one DOEM database,
+        and a poll of the key at one instant is done once for all of them.
+        """
+        return f"{self.wrapper_name}::{self.subscription.polling_query}"
+
 
 class SubscriptionManager:
-    """Registry of active subscriptions and their schedules."""
+    """Registry of active subscriptions and their schedules.
+
+    ``next_poll`` is set through :meth:`schedule` (``add`` and
+    ``record_poll`` call it), which also queues the subscription for
+    :meth:`due`.
+    """
 
     def __init__(self) -> None:
         self._states: dict[str, SubscriptionState] = {}
+        self._by_key: dict[str, set[str]] = {}
+        # (next poll, name) min-heap.  An entry whose time is no longer
+        # its subscription's next_poll is stale and dropped when reached.
+        self._queue: list[tuple[Timestamp, str]] = []
 
     def add(self, subscription: Subscription, wrapper_name: str,
             now: object) -> SubscriptionState:
@@ -65,15 +86,23 @@ class SubscriptionManager:
                 f"subscription {subscription.name!r} already exists")
         state = SubscriptionState(subscription=subscription,
                                   wrapper_name=wrapper_name)
-        state.next_poll = subscription.frequency.next_after(parse_timestamp(now))
         self._states[subscription.name] = state
+        self._by_key.setdefault(state.poll_key, set()).add(subscription.name)
+        self.schedule(state,
+                      subscription.frequency.next_after(parse_timestamp(now)))
         return state
 
     def remove(self, name: str) -> None:
         """Drop a subscription."""
-        if name not in self._states:
-            raise SubscriptionError(f"no subscription named {name!r}")
+        state = self.get(name)
         del self._states[name]
+        sharers = self._by_key[state.poll_key]
+        sharers.discard(name)
+        if not sharers:
+            del self._by_key[state.poll_key]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._states
 
     def get(self, name: str) -> SubscriptionState:
         """The state of one subscription."""
@@ -86,16 +115,43 @@ class SubscriptionManager:
         """All subscription states, name order."""
         return [self._states[name] for name in sorted(self._states)]
 
+    def sharers(self, key: str) -> list[SubscriptionState]:
+        """The subscriptions whose poll key is ``key``, name order."""
+        return [self._states[name] for name in sorted(self._by_key.get(key, ()))]
+
     def due(self, now: object) -> list[SubscriptionState]:
-        """Subscriptions whose next poll is at or before ``now``."""
+        """The next batch of polls: every subscription whose next poll is
+        the earliest one pending, if that is at or before ``now``; name
+        order.  The batch stays queued until its polls are recorded."""
         cutoff = parse_timestamp(now)
-        return [state for state in self.states()
-                if state.next_poll is not None and state.next_poll <= cutoff]
+        queue = self._queue
+        while queue and not self._queued(*queue[0]):
+            heapq.heappop(queue)
+        if not queue or queue[0][0] > cutoff:
+            return []
+        when = queue[0][0]
+        names: set[str] = set()
+        while queue and queue[0][0] == when:
+            entry = heapq.heappop(queue)
+            if self._queued(*entry):
+                names.add(entry[1])
+        for name in names:
+            heapq.heappush(queue, (when, name))
+        return [self._states[name] for name in sorted(names)]
+
+    def _queued(self, when: Timestamp, name: str) -> bool:
+        state = self._states.get(name)
+        return state is not None and state.next_poll == when
+
+    def schedule(self, state: SubscriptionState, when: Timestamp) -> None:
+        """Set the subscription's next poll."""
+        state.next_poll = when
+        heapq.heappush(self._queue, (when, state.subscription.name))
 
     def record_poll(self, state: SubscriptionState, when: Timestamp) -> None:
         """Mark a completed poll and schedule the next one."""
         state.polling_times.append(when)
-        state.next_poll = state.subscription.frequency.next_after(when)
+        self.schedule(state, state.subscription.frequency.next_after(when))
 
 
 class QueryManager:
@@ -140,7 +196,7 @@ def _rename_root(db: OEMDatabase, new_root: str) -> OEMDatabase:
 
 
 class DOEMManager:
-    """Maintains one DOEM database per subscription.
+    """Maintains one DOEM database per history key.
 
     ``R0`` is the empty OEM database, so the first poll's objects all
     carry ``cre`` annotations (Example 6.1's t1 behaviour).
@@ -149,10 +205,15 @@ class DOEMManager:
     previous polling result (aligned to DOEM identifiers) in memory
     instead of re-deriving it from the DOEM database at every poll.
 
+    A standalone manager uses whatever name it is given as the history
+    key.  A QSS server keys histories by poll key and sets
+    ``subscriptions``, so every method also accepts a subscription name
+    and resolves it to that subscription's (shared) history.
+
     ``store`` makes the histories durable: every applied change set is
     also appended to the named history in a
     :class:`~repro.store.ChangeLogStore` (keys sanitized with
-    :func:`~repro.store.sanitize_name`, since shared-DOEM alias keys like
+    :func:`~repro.store.sanitize_name`, since poll keys like
     ``wrapper::query`` are not path-safe), and a manager constructed over
     a non-empty store rebuilds each DOEM from the log on first touch --
     the restart-without-re-polling path.
@@ -166,31 +227,18 @@ class DOEMManager:
         self.differ = differ
         self.cache_previous_result = cache_previous_result
         self.store = store
+        self.subscriptions: SubscriptionManager | None = None
         self._doems: dict[str, DOEMDatabase] = {}
         self._previous: dict[str, OEMDatabase] = {}
         self._all_ids: dict[str, set[str]] = {}
-        self._aliases: dict[str, str] = {}
         self.last_diff_stats: dict[str, DiffStats] = {}
 
-    def set_alias(self, name: str, key: str) -> None:
-        """Let subscription ``name`` share the DOEM database stored at ``key``.
-
-        This is the paper's first space-conservation idea (Section 6.1):
-        "merging the DOEM databases for subscriptions that have similar
-        polling queries".  Subscriptions sharing a key poll into one
-        history; a redundant poll (same data, possibly a different
-        instant) folds an empty change set, which is harmless.
-        """
-        self._aliases[name] = key
-
-    def _key(self, name: str) -> str:
-        return self._aliases.get(name, name)
-
-    def shared_with(self, name: str) -> list[str]:
-        """Other subscription names sharing ``name``'s DOEM database."""
-        key = self._key(name)
-        return sorted(other for other, other_key in self._aliases.items()
-                      if other_key == key and other != name)
+    def history_key(self, name: str) -> str:
+        """The history ``name`` addresses: a served subscription's poll
+        key, otherwise ``name`` itself."""
+        if self.subscriptions is not None and name in self.subscriptions:
+            return self.subscriptions.get(name).poll_key
+        return name
 
     def _store_log(self, key: str):
         """The durable log behind ``key`` (``None`` without a store)."""
@@ -201,7 +249,7 @@ class DOEMManager:
                               origin=OEMDatabase(root="answer"))
 
     def doem(self, name: str) -> DOEMDatabase:
-        """The DOEM database for subscription ``name`` (created lazily).
+        """The DOEM database ``name`` addresses (created lazily).
 
         The empty base database has an ``answer`` root matching the
         wrapper's packaging, so diffs align naturally.  With a store
@@ -209,7 +257,7 @@ class DOEMManager:
         here -- restarting a server recovers every subscription's DOEM
         without touching the sources.
         """
-        key = self._key(name)
+        key = self.history_key(name)
         if key not in self._doems:
             log = self._store_log(key)
             if log is not None and len(log) > 0:
@@ -231,14 +279,14 @@ class DOEMManager:
         as the current snapshot of the DOEM database (the space-saving
         strategy).
         """
-        key = self._key(name)
+        key = self.history_key(name)
         if self.cache_previous_result and key in self._previous:
             return self._previous[key]
-        return current_snapshot(self.doem(name))
+        return current_snapshot(self.doem(key))
 
     def incorporate(self, name: str, when: object,
                     result: OEMDatabase) -> ChangeSet:
-        """Fold a new polling result into the subscription's DOEM database.
+        """Fold a new polling result into the history's DOEM database.
 
         Runs OEMdiff between the previous result and ``result``, applies
         the inferred change set with timestamp ``when``, and returns it.
@@ -247,9 +295,9 @@ class DOEMManager:
         """
         from ..doem.build import apply_change_set
 
-        key = self._key(name)
-        doem = self.doem(name)
-        previous = self.previous_result(name)
+        key = self.history_key(name)
+        doem = self.doem(key)
+        previous = self.previous_result(key)
         reserved = self._all_ids[key]
         if self.differ == "ids":
             # Cooperative source: identifiers are stable between polls.
@@ -271,7 +319,7 @@ class DOEMManager:
                 if log is not None:
                     log.append(timestamp, change_set)
         reserved.update(change_set.created_nodes())
-        self.last_diff_stats[name] = DiffStats(change_set)
+        self.last_diff_stats[key] = DiffStats(change_set)
         if self.cache_previous_result:
             updated = previous.copy()
             change_set.apply_to(updated)
@@ -279,32 +327,25 @@ class DOEMManager:
         return change_set
 
     def compact_before(self, name: str, when: object) -> None:
-        """Truncate the subscription's DOEM history at ``when``.
+        """Truncate the history's DOEM database at ``when``.
 
         Section 6.1's third space idea: the state at ``when`` becomes the
         new original snapshot and older annotations are forgotten.  Filter
         queries that only look back as far as ``when`` (the usual
-        ``T > t[-1]`` shape) are unaffected.  Refuses to compact a DOEM
-        shared by several subscriptions -- the caller must pick a cutoff
-        safe for *all* sharers and call this once.
+        ``T > t[-1]`` shape) are unaffected.  A shared history is
+        compacted for every subscription reading it, so the cutoff must
+        suit all of them.
         """
         from ..doem.compact import compact
-        from ..timestamps import parse_timestamp
 
-        if self.shared_with(name):
-            raise QSSError(
-                f"DOEM of {name!r} is shared "
-                f"(with {self.shared_with(name)}); compact it explicitly "
-                f"with a cutoff valid for every sharer")
-        key = self._key(name)
-        doem = self.doem(name)
-        compacted = compact(doem, parse_timestamp(when))
-        self._doems[key] = compacted
+        key = self.history_key(name)
+        cutoff = parse_timestamp(when)
+        self._doems[key] = compact(self.doem(key), cutoff)
         log = self._store_log(key)
         if log is not None:
             # Keep the durable log in step: the same horizon promotes the
             # state at the cutoff to the log's new origin.
-            log.compact(before=parse_timestamp(when))
+            log.compact(before=cutoff)
         # Identifier discipline is preserved: compaction only drops nodes,
         # and dropped identifiers stay in the reserved set forever.  The
         # cached previous result is a plain snapshot, so it is unaffected.
@@ -315,26 +356,22 @@ class DOEMManager:
         The database is registered under the polling query's name and the
         ``t[i]`` variables reflect the polls completed so far.
         """
-        subscription = state.subscription
-        doem = self.doem(subscription.name)
-        engine = ChorelEngine(doem, name=subscription.polling_name)
+        engine = ChorelEngine(self.doem(state.poll_key),
+                              name=state.subscription.polling_name)
         engine.set_polling_times(polling_time_mapping(state.polling_times))
         return engine
 
     def drop(self, name: str) -> None:
-        """Forget a subscription's state (shared DOEMs survive until the
-        last sharer is dropped)."""
-        key = self._aliases.pop(name, name)
-        self.last_diff_stats.pop(name, None)
-        if key in self._aliases.values():
-            return  # other subscriptions still share this DOEM
-        self._doems.pop(key, None)
-        self._previous.pop(key, None)
-        self._all_ids.pop(key, None)
+        """Forget a history's in-memory state."""
+        key = self.history_key(name)
+        for table in (self._doems, self._previous, self._all_ids,
+                      self.last_diff_stats):
+            table.pop(key, None)
 
     def state_size(self, name: str) -> dict[str, int]:
         """Rough state-size accounting for the space-strategy benchmark."""
-        doem = self.doem(name)
+        key = self.history_key(name)
+        doem = self.doem(key)
         sizes = {
             "doem_nodes": len(doem.graph),
             "doem_arcs": doem.graph.arc_count(),
@@ -342,7 +379,7 @@ class DOEMManager:
             "cached_nodes": 0,
             "cached_arcs": 0,
         }
-        cached = self._previous.get(self._key(name))
+        cached = self._previous.get(key)
         if self.cache_previous_result and cached is not None:
             sizes["cached_nodes"] = len(cached)
             sizes["cached_arcs"] = cached.arc_count()

@@ -19,20 +19,24 @@ from typing import Callable
 
 from ..errors import QSSError, ReproError, StoreCorruptionError, \
     StoreError, SubscriptionError
+from ..doem.snapshot import current_snapshot
+from ..lorel.result import ObjectRef
 from ..obs.events import emit_event
 from ..obs.metrics import registry as metrics_registry
 from ..obs.trace import span
+from ..oem.model import OEMDatabase
 from ..timestamps import Timestamp, parse_timestamp
-from .managers import DOEMManager, QueryManager, SubscriptionManager, SubscriptionState
+from .managers import DOEMManager, QueryManager, SubscriptionManager, \
+    SubscriptionState
 from .subscription import Notification, Subscription
 from .wrapper import Wrapper
 
-__all__ = ["QSSServer", "SlowPollRecord", "PollTimeout"]
+__all__ = ["QSSServer", "SlowPollRecord", "PollTimeout", "history_name"]
 
 # The subscription table a store-backed server keeps next to the
 # histories in its change-log store (Figure 7's Subscription Store).
 TABLE_FILE = "qss.json"
-TABLE_FORMAT = 1
+TABLE_FORMAT = 2
 
 
 def _saves_state(method):
@@ -50,10 +54,11 @@ def _saves_state(method):
 class PollTimeout(QSSError):
     """A source poll exceeded the server's ``poll_timeout`` budget.
 
-    Recorded in ``error_log`` (never raised through ``run_until``): a
-    timeout is a deadline policy protecting the polling cycle, not a
-    defect in the subscription, so the schedule advances and the other
-    subscriptions in the batch are notified normally.
+    Recorded in ``error_log`` for every subscription sharing the poll
+    key (never raised through ``run_until``): a timeout is a deadline
+    policy protecting the polling cycle, not a defect in the
+    subscription, so the schedule advances and the other keys in the
+    batch are notified normally.
     """
 
 
@@ -81,11 +86,24 @@ class QSSServer:
     nothing still produce a (empty) notification -- the paper's QSS stays
     silent, the default here too; tests flip it to observe every poll.
 
+    Subscriptions with the same poll key (``SubscriptionState.poll_key``:
+    wrapper name and normalised polling query) share one DOEM database
+    (Section 6.1, "merging the DOEM databases for subscriptions that
+    have similar polling queries"), and the key is polled, diffed and
+    folded once per poll time; each subscriber then runs its own filter
+    query with its own ``t[i]``.
+    Sharers on different schedules therefore see the union of the key's
+    poll times: a value changed twice between A's polls shows as two
+    ``upd`` annotations when B polled in between.  A subscription that
+    joins a key with history finds that history in its DOEM.
+    ``compact_keep_polls`` keeps, per key, the last N polling intervals
+    of every sharer.
+
     ``store`` (a :class:`~repro.store.ChangeLogStore` or a path) makes
     the server durable (Figure 7's Subscription Store and DOEM Store in
     one directory).  Incorporated change sets are appended to the
     store's change logs; the subscription table (clock, definitions,
-    wrapper names, ``t[i]`` polling times, next polls, DOEM keys) is
+    wrapper names, ``t[i]`` polling times, next polls) is
     rewritten atomically to ``qss.json`` after every public call that
     changes it.  A server constructed over a store with a table restores
     it, clock included (``start`` only seeds a store without one), and
@@ -108,29 +126,28 @@ class QSSServer:
     :meth:`metrics_text` serves the registry as a ``/metrics``-style
     text dump.
 
-    Concurrency: with ``max_poll_workers > 1``, polls that fall due at
-    the same simulated timestamp are fanned out to a bounded worker pool
-    (metrics family ``qss.pool``).  Only the *source* phase (wrapper
-    advance + polling query) runs on workers, serialized per wrapper by a
-    lock; incorporation, filter evaluation, packaging, and notification
-    delivery stay on the calling thread in ``(time, name)`` order, so
-    notification order and DOEM contents are identical to the serial
-    loop.  ``poll_timeout`` (seconds; ``None`` disables) bounds each
-    batch's source phase: a subscription whose source poll has not
-    finished by the deadline is recorded in ``error_log`` as a
+    Concurrency: the polls due at one simulated timestamp form a batch.
+    ``max_poll_workers`` only decides where the batch's *source* phase
+    (wrapper advance + polling query, once per key) runs: inline, or on
+    a bounded worker pool (metrics family ``qss.pool``), serialized per
+    wrapper by a lock.  Incorporation, filter evaluation, packaging, and
+    notification delivery stay on the calling thread in ``(time, name)``
+    order, so notification order and DOEM contents do not depend on the
+    pool.  ``poll_timeout`` (seconds; ``None`` disables) bounds each
+    batch's source phase: every sharer of a key whose source poll has
+    not finished by the deadline is recorded in ``error_log`` as a
     :class:`PollTimeout` (counter ``qss.timeouts``), its schedule
     advances, and the rest of the batch is notified normally -- one
-    hung or crashing subscription cannot stall the cycle.  A timed-out
-    poll's worker may linger until the source returns; it only touches
-    the wrapper (under the wrapper lock) and its result is discarded,
-    and while it lingers the subscription's subsequent polls are skipped
-    (also as timeouts) rather than stacking more zombies onto the pool.
+    hung or crashing source cannot stall the cycle.  A timed-out poll's
+    worker may linger until the source returns; it only touches the
+    wrapper (under the wrapper lock) and its result is discarded, and
+    while it lingers the key's subsequent polls are skipped (also as
+    timeouts) rather than stacking more zombies onto the pool.
     """
 
     def __init__(self, start: object = "1Dec96",
                  cache_previous_result: bool = True,
                  deliver_empty: bool = False,
-                 share_by_polling_query: bool = False,
                  on_error: str = "raise",
                  compact_keep_polls: int | None = None,
                  slow_poll_threshold: float | None = None,
@@ -143,9 +160,6 @@ class QSSServer:
             raise QSSError("slow_poll_threshold must be >= 0 (seconds)")
         if compact_keep_polls is not None and compact_keep_polls < 1:
             raise QSSError("compact_keep_polls must be >= 1")
-        if compact_keep_polls is not None and share_by_polling_query:
-            raise QSSError("automatic compaction and DOEM sharing cannot "
-                           "combine; compact shared DOEMs explicitly")
         if max_poll_workers < 1:
             raise QSSError("max_poll_workers must be >= 1")
         if poll_timeout is not None and poll_timeout <= 0:
@@ -163,8 +177,8 @@ class QSSServer:
         self.queries = QueryManager()
         self.doems = DOEMManager(cache_previous_result=cache_previous_result,
                                  store=store)
+        self.doems.subscriptions = self.subscriptions
         self.deliver_empty = deliver_empty
-        self.share_by_polling_query = share_by_polling_query
         self.on_error = on_error
         self.compact_keep_polls = compact_keep_polls
         if slow_poll_threshold is None:
@@ -187,7 +201,7 @@ class QSSServer:
         self._poll_pool = None
         self._wrapper_locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
-        # name -> the Future of a timed-out poll that may still be running.
+        # poll key -> the Future of a timed-out poll that may still be running.
         self._inflight: dict[str, object] = {}
         # name -> health record (consecutive failure streaks + last
         # delivery), the state behind health() and the qss.sub.* gauges.
@@ -229,20 +243,18 @@ class QSSServer:
         else:
             state = self.subscriptions.add(subscription, wrapper_name,
                                            self.clock)
-            if self.share_by_polling_query:
-                # Section 6.1's first space idea: subscriptions with the
-                # same polling query (same wrapper) share one DOEM.
-                key = f"{wrapper_name}::{subscription.polling_query}"
-                self.doems.set_alias(name, key)
         if deliver is not None:
             self._subscribers.setdefault(name, []).append(deliver)
         return state
 
     @_saves_state
     def unsubscribe(self, name: str) -> None:
-        """Cancel a subscription and drop its DOEM state."""
+        """Cancel a subscription; its poll key's DOEM state goes with
+        the last sharer."""
+        key = self.subscriptions.get(name).poll_key
         self.subscriptions.remove(name)
-        self.doems.drop(name)
+        if not self.subscriptions.sharers(key):
+            self.doems.drop(key)
         self._subscribers.pop(name, None)
         self._restored.discard(name)
 
@@ -262,31 +274,8 @@ class QSSServer:
             raise QSSError(
                 f"cannot run the clock backwards ({deadline} < {self.clock})")
         produced: list[Notification] = []
-
-        while True:
-            due: list[tuple[Timestamp, SubscriptionState]] = [
-                (state.next_poll, state)
-                for state in self.subscriptions.states()
-                if state.next_poll is not None and state.next_poll <= deadline]
-            if not due:
-                break
-            due.sort(key=lambda entry: (entry[0], entry[1].subscription.name))
-            if self.max_poll_workers > 1:
-                # All polls due at the earliest timestamp form one batch.
-                poll_time = due[0][0]
-                batch = [state for when_due, state in due
-                         if when_due == poll_time]
-                produced.extend(self._execute_poll_batch(batch, poll_time))
-                continue
-            poll_time, state = due[0]
-            try:
-                notification = self._execute_poll(state, poll_time)
-            except Exception as error:
-                self._record_poll_failure(state, poll_time, error)
-                continue
-            if notification is not None:
-                produced.append(notification)
-
+        while batch := self.subscriptions.due(deadline):
+            produced.extend(self._poll_batch(batch, batch[0].next_poll))
         self.clock = deadline
         return produced
 
@@ -321,60 +310,129 @@ class QSSServer:
         if not state.polling_times or state.polling_times[-1] != poll_time:
             self.subscriptions.record_poll(state, poll_time)
 
-    def _execute_poll_batch(self, batch: list[SubscriptionState],
-                            poll_time: Timestamp) -> list[Notification]:
-        """Poll one batch concurrently; finish serially in name order.
+    def _poll_batch(self, batch: list[SubscriptionState],
+                    poll_time: Timestamp) -> list[Notification]:
+        """Poll ``batch`` (name order) at ``poll_time``.
 
-        Workers run only the source phase (:meth:`_poll_source`); each
-        result is then incorporated/filtered/packaged on this thread in
-        the batch's (name-sorted) order, so everything downstream of the
-        source is byte-identical to the serial loop.
+        Once per poll key: the source phase, OEMdiff, incorporation and
+        the store append (:meth:`_fold`).  Once per subscriber, in name
+        order: its own filter query against the shared DOEM, packaging,
+        notification.  Inline, a key is folded when its first sharer is
+        reached, so earlier subscribers are not kept waiting for later
+        keys; with a pool, every key's source phase runs up front.  A
+        key's failure is recorded for each of its sharers in the batch.
         """
-        pool = self._pool()
-        futures = {}
+        groups: dict[str, list[SubscriptionState]] = {}
         for state in batch:
-            name = state.subscription.name
-            lingering = self._inflight.get(name)
+            groups.setdefault(state.poll_key, []).append(state)
+        sourced = self._poll_sources(groups, poll_time) \
+            if self.max_poll_workers > 1 else {}
+        # key -> seconds its source and incorporate took, or the error.
+        folded: dict[str, object] = {}
+        snapshots: dict[str, OEMDatabase] = {}
+        produced: list[Notification] = []
+        for state in batch:
+            key = state.poll_key
+            if key not in folded:
+                folded[key] = self._fold(state, poll_time, sourced.get(key))
+            if isinstance(folded[key], Exception):
+                self._record_poll_failure(state, poll_time, folded[key])
+                continue
+            try:
+                notification = self._finish_poll(state, poll_time,
+                                                 folded[key], snapshots)
+            except Exception as error:
+                self._record_poll_failure(state, poll_time, error)
+                continue
+            finally:
+                if state is groups[key][-1]:
+                    snapshots.pop(key, None)  # its last sharer is done
+            if notification is not None:
+                produced.append(notification)
+
+        if self.compact_keep_polls is not None:
+            for key, outcome in folded.items():
+                if isinstance(outcome, Exception):
+                    continue
+                try:
+                    self._compact(key)
+                except Exception as error:
+                    for state in groups[key]:
+                        self._record_poll_failure(state, poll_time, error)
+        return produced
+
+    def _fold(self, state: SubscriptionState, poll_time: Timestamp,
+              sourced: object) -> object:
+        """The once-per-key part of a poll: the source phase (unless the
+        pool already ran it: ``sourced``), then OEMdiff and incorporation
+        into the key's DOEM.  Returns the seconds both took, or the
+        exception that stopped them."""
+        if isinstance(sourced, Exception):
+            return sourced
+        try:
+            if sourced is None:
+                sourced = self._poll_source(state, poll_time)
+            result, source_seconds = sourced
+            started = perf_counter()
+            with span("qss.poll.incorporate", key=state.poll_key,
+                      at=str(poll_time)):
+                self.doems.incorporate(state.poll_key, poll_time, result)
+        except Exception as error:
+            return error
+        return source_seconds + (perf_counter() - started)
+
+    def _poll_sources(self, groups: dict[str, list[SubscriptionState]],
+                      poll_time: Timestamp) -> dict[str, object]:
+        """Every key's source phase, concurrently on the pool and bounded
+        by ``poll_timeout``: ``(result, seconds)``, or the exception."""
+        pool = self._pool()
+        outcomes: dict[str, object] = {}
+        futures = {}
+        for key, sharers in groups.items():
+            lingering = self._inflight.get(key)
             if lingering is not None:
                 if not lingering.done():
                     # A previous timed-out poll is still occupying a
                     # worker; submitting another would just stack zombies
                     # until they exhaust the pool and starve healthy
-                    # subscriptions.  Skip this round instead.
-                    self._record_poll_failure(state, poll_time, PollTimeout(
-                        f"poll of {name!r} at {poll_time} skipped: a "
-                        f"previous timed-out poll is still in flight"))
+                    # keys.  Skip this round instead.
+                    outcomes[key] = PollTimeout(
+                        f"poll of {key!r} at {poll_time} skipped: a "
+                        f"previous timed-out poll is still in flight")
                     continue
-                del self._inflight[name]
-            futures[name] = pool.submit(self._poll_source_timed,
-                                        state, poll_time)
-        done, not_done = futures_wait(list(futures.values()),
-                                      timeout=self.poll_timeout) \
-            if futures else (set(), set())
-        produced: list[Notification] = []
-        for state in batch:
-            future = futures.get(state.subscription.name)
-            if future is None:
-                continue  # skipped above: still in flight
+                del self._inflight[key]
+            futures[key] = pool.submit(self._poll_source, sharers[0],
+                                       poll_time)
+        not_done = futures_wait(list(futures.values()),
+                                timeout=self.poll_timeout).not_done \
+            if futures else set()
+        for key, future in futures.items():
             if future in not_done:
                 future.cancel()
-                self._inflight[state.subscription.name] = future
-                self._record_poll_failure(state, poll_time, PollTimeout(
-                    f"poll of {state.subscription.name!r} at {poll_time} "
-                    f"exceeded {self.poll_timeout:g}s"))
+                self._inflight[key] = future
+                outcomes[key] = PollTimeout(
+                    f"poll of {key!r} at {poll_time} exceeded "
+                    f"{self.poll_timeout:g}s")
                 continue
             try:
-                result, source_seconds = future.result()
-                with span("qss.poll", subscription=state.subscription.name,
-                          at=str(poll_time)):
-                    notification = self._finish_poll(state, poll_time,
-                                                     result, source_seconds)
+                outcomes[key] = future.result()
             except Exception as error:
-                self._record_poll_failure(state, poll_time, error)
-                continue
-            if notification is not None:
-                produced.append(notification)
-        return produced
+                outcomes[key] = error
+        return outcomes
+
+    def _compact(self, key: str) -> None:
+        """Section 6.1 retention policy, per poll key: keep the last N
+        polling intervals of every sharer.  The cutoff is the oldest
+        (N+1)-th most recent poll over the sharers, so every sharer's
+        ``t[-N]`` lookback still works; nothing is compacted while any
+        sharer has N polls or fewer."""
+        keep = self.compact_keep_polls
+        sharers = self.subscriptions.sharers(key)
+        if any(state.poll_count <= keep for state in sharers):
+            return
+        cutoff = min(state.polling_times[-(keep + 1)] for state in sharers)
+        with span("qss.compact", key=key):
+            self.doems.compact_before(key, cutoff)
 
     # ------------------------------------------------------------------
     # The paper's two other snapshot modes (Section 6): explicit user
@@ -389,14 +447,16 @@ class QSSServer:
         explicit user requests."  The on-demand poll joins the polling
         timeline (it becomes ``t[0]``; the scheduled cadence continues
         from it), so filter-query lookbacks stay consistent.  The clock
-        must have advanced past the last poll.
+        must have advanced past the last poll.  A failure is handled as
+        in :meth:`run_until` (``on_error``).
         """
         state = self.subscriptions.get(name)
         if state.polling_times and self.clock <= state.polling_times[-1]:
             raise QSSError(
                 f"cannot poll {name!r} at {self.clock}: a poll at "
                 f"{state.polling_times[-1]} already happened")
-        return self._execute_poll(state, self.clock)
+        produced = self._poll_batch([state], self.clock)
+        return produced[0] if produced else None
 
     @_saves_state
     def on_source_signal(self, wrapper_name: str) -> list[Notification]:
@@ -410,84 +470,55 @@ class QSSServer:
         already up to date).
         """
         self.queries.wrapper(wrapper_name)  # validate
-        produced: list[Notification] = []
-        for state in self.subscriptions.states():
-            if state.wrapper_name != wrapper_name:
-                continue
-            if state.polling_times and self.clock <= state.polling_times[-1]:
-                continue
-            notification = self._execute_poll(state, self.clock)
-            if notification is not None:
-                produced.append(notification)
-        return produced
-
-    def _execute_poll(self, state: SubscriptionState,
-                      poll_time: Timestamp) -> Notification | None:
-        subscription = state.subscription
-        with span("qss.poll", subscription=subscription.name,
-                  at=str(poll_time)):
-            started = perf_counter()
-            with span("qss.poll.source"):
-                result = self._poll_source(state, poll_time)
-            source_seconds = perf_counter() - started
-            return self._finish_poll(state, poll_time, result, source_seconds)
+        batch = [state for state in self.subscriptions.states()
+                 if state.wrapper_name == wrapper_name and (
+                     not state.polling_times
+                     or state.polling_times[-1] < self.clock)]
+        return self._poll_batch(batch, self.clock)
 
     def _poll_source(self, state: SubscriptionState,
-                     poll_time: Timestamp) -> "OEMDatabase":
-        """The source phase: advance the wrapper and run the polling query.
+                     poll_time: Timestamp) -> tuple[OEMDatabase, float]:
+        """The source phase of ``state``'s poll key: advance the wrapper
+        and run the polling query; returns the result and its seconds.
 
-        Serialized per wrapper, so concurrent batch polls (and serial
-        polls racing a lingering timed-out worker) never interleave on
-        one source.  Polls of the same wrapper at the same simulated
+        Serialized per wrapper, so concurrent batch polls (and polls
+        racing a lingering timed-out worker) never interleave on one
+        source.  Polls of the same wrapper at the same simulated
         timestamp commute: the second ``advance`` to an already-reached
         time is a no-op and polling queries are read-only.
         """
-        with self._wrapper_lock(state.wrapper_name):
-            return self.queries.poll(state, poll_time)
-
-    def _poll_source_timed(self, state: SubscriptionState,
-                           poll_time: Timestamp):
-        """Worker-side wrapper of :meth:`_poll_source` (batch path)."""
         started = perf_counter()
-        with span("qss.poll.source", subscription=state.subscription.name,
-                  at=str(poll_time)):
-            result = self._poll_source(state, poll_time)
+        with span("qss.poll.source", key=state.poll_key, at=str(poll_time)), \
+                self._wrapper_lock(state.wrapper_name):
+            result = self.queries.poll(state, poll_time)
         return result, perf_counter() - started
 
     def _finish_poll(self, state: SubscriptionState, poll_time: Timestamp,
-                     result: "OEMDatabase",
-                     source_seconds: float) -> Notification | None:
-        """Everything after the source returns: incorporate, filter,
-        package, compact, account, deliver.  Always runs on the thread
-        driving the polling loop, in deterministic poll order."""
+                     shared_seconds: float,
+                     snapshots: dict[str, OEMDatabase]) -> Notification | None:
+        """One subscriber's part of a poll, after its key was folded:
+        record the poll, filter, package, account, deliver.  Always runs
+        on the thread driving the polling loop, in deterministic poll
+        order.  ``shared_seconds`` is the key's source and incorporate
+        time, counted in every sharer's ``elapsed``."""
         subscription = state.subscription
         started = perf_counter()
-        with span("qss.poll.incorporate"):
-            self.doems.incorporate(subscription.name, poll_time, result)
         self.subscriptions.record_poll(state, poll_time)
-
         engine = self.doems.filter_engine(state)
         # Tag the filter run so the obs query log can attribute its
         # fingerprint to this subscription (runs on the coordinator
         # thread, so the thread-local attribution holds).
         from ..obs.querylog import query_attribution
-        with span("qss.filter"), \
-                query_attribution(subscription=subscription.name,
-                                  poll_time=str(poll_time)):
-            filtered = engine.run(subscription.filter_query)
-        with span("qss.package"):
-            answer = self._package(subscription.name, filtered)
+        with span("qss.poll", subscription=subscription.name,
+                  at=str(poll_time)):
+            with span("qss.filter"), \
+                    query_attribution(subscription=subscription.name,
+                                      poll_time=str(poll_time)):
+                filtered = engine.run(subscription.filter_query)
+            with span("qss.package"):
+                answer = self._package(state.poll_key, filtered, snapshots)
 
-        if self.compact_keep_polls is not None and \
-                state.poll_count > self.compact_keep_polls:
-            # Section 6.1 retention policy: keep the last N polling
-            # intervals of history; everything older collapses into
-            # the new original snapshot.  Cutoff = the (N+1)-th most
-            # recent poll, so t[-N] filter lookbacks still work.
-            cutoff = state.polling_times[-(self.compact_keep_polls + 1)]
-            with span("qss.compact"):
-                self.doems.compact_before(subscription.name, cutoff)
-        elapsed = source_seconds + (perf_counter() - started)
+        elapsed = shared_seconds + (perf_counter() - started)
         self._metrics["polls"].inc()
         self._metrics.histogram("poll_seconds").observe(elapsed)
         record = self._sub_health(subscription.name)
@@ -580,8 +611,7 @@ class QSSServer:
             record = _definition(state.subscription, state.wrapper_name)
             record.update(
                 polling_times=[when.ticks for when in state.polling_times],
-                next_poll=state.next_poll.ticks,
-                doem_key=self.doems._key(state.subscription.name))
+                next_poll=state.next_poll.ticks)
             records.append(record)
         write_json_atomic(self.store.path / TABLE_FILE,
                           {"format": TABLE_FORMAT, "clock": self.clock.ticks,
@@ -594,30 +624,19 @@ class QSSServer:
         silently starting with no subscriptions.
         """
         path = self.store.path / TABLE_FILE
-        try:
-            table = json.loads(path.read_text("utf-8"))
-        except FileNotFoundError:
+        table = _read_table(path)
+        if table is None:
             return
-        except (OSError, ValueError) as exc:
-            raise StoreCorruptionError(
-                f"{path}: unreadable subscription table: {exc}") from exc
-        if not isinstance(table, dict) or table.get("format") != TABLE_FORMAT:
-            raise StoreError(f"{path}: unsupported subscription table "
-                             f"format (want {{'format': {TABLE_FORMAT}}})")
         try:
             self.clock = Timestamp(table["clock"])
             for record in table["subscriptions"]:
-                subscription = Subscription(
-                    **{field: record[field] for field in _DEFINITION})
                 state = self.subscriptions.add(
-                    subscription, record["wrapper"], self.clock)
+                    _subscription(record), record["wrapper"], self.clock)
                 state.polling_times = [Timestamp(ticks) for ticks
                                        in record["polling_times"]]
-                state.next_poll = Timestamp(record["next_poll"])
-                if record["doem_key"] != subscription.name:
-                    self.doems.set_alias(subscription.name,
-                                         record["doem_key"])
-                self._restored.add(subscription.name)
+                self.subscriptions.schedule(state,
+                                            Timestamp(record["next_poll"]))
+                self._restored.add(state.subscription.name)
         except (KeyError, TypeError, ValueError, ReproError) as exc:
             raise StoreCorruptionError(
                 f"{path}: malformed subscription table: {exc}") from exc
@@ -714,25 +733,27 @@ class QSSServer:
             "timeouts": self._metrics["timeouts"].value,
         }
 
-    def _package(self, name: str, filtered) -> "OEMDatabase":
+    def _package(self, key: str, filtered,
+                 snapshots: dict[str, OEMDatabase]) -> OEMDatabase:
         """Package a filter result as a notification OEM database.
 
-        Results are copied out of the subscription DOEM's *current
-        snapshot*; selected objects that are no longer live (e.g. targets
-        of removed arcs) are included as value-only nodes so the
-        notification is still self-contained.
+        Results are copied out of the key's *current snapshot*, computed
+        once per key and poll (``snapshots``).  Selected objects that are
+        no longer live (e.g. targets of removed arcs) are added to a copy
+        as value-only nodes, so the notification is still self-contained.
         """
-        from ..doem.snapshot import current_snapshot
-        from ..lorel.result import ObjectRef
-
-        doem = self.doems.doem(name)
-        snapshot = current_snapshot(doem)
-        for row in filtered:
-            for _, value in row.items:
-                if isinstance(value, ObjectRef) and \
-                        not snapshot.has_node(value.node):
-                    node_value = doem.graph.value(value.node)
-                    snapshot.create_node(value.node, node_value)
+        doem = self.doems.doem(key)
+        snapshot = snapshots.get(key)
+        if snapshot is None:
+            snapshot = snapshots[key] = current_snapshot(doem)
+        dead = [value.node for row in filtered for _, value in row.items
+                if isinstance(value, ObjectRef)
+                and not snapshot.has_node(value.node)]
+        if dead:
+            snapshot = snapshot.copy()
+            for node in dead:
+                if not snapshot.has_node(node):
+                    snapshot.create_node(node, doem.graph.value(node))
         return filtered.as_oem(snapshot, root="notification")
 
 
@@ -746,3 +767,48 @@ def _definition(subscription: Subscription, wrapper_name: str) -> dict:
               for field in _DEFINITION}
     record["wrapper"] = wrapper_name
     return record
+
+
+def _subscription(record: dict) -> Subscription:
+    """The subscription a subscription-table record defines."""
+    return Subscription(**{field: record[field] for field in _DEFINITION})
+
+
+def _read_table(path) -> dict | None:
+    """A subscription table (``None`` when there is none); an unreadable
+    or unknown-format table raises."""
+    try:
+        table = json.loads(path.read_text("utf-8"))
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError) as exc:
+        raise StoreCorruptionError(
+            f"{path}: unreadable subscription table: {exc}") from exc
+    if not isinstance(table, dict) or table.get("format") != TABLE_FORMAT:
+        raise StoreError(f"{path}: unsupported subscription table "
+                         f"format (want {{'format': {TABLE_FORMAT}}})")
+    return table
+
+
+def history_name(store, name: str) -> str:
+    """The history in ``store`` that ``name`` addresses.
+
+    A stored history of that name, else the poll-key history of the
+    subscription so named in the store's subscription table, else
+    ``name`` unchanged (the store then reports it missing).
+    """
+    if name in store:
+        return name
+    from ..store import sanitize_name
+    path = store.path / TABLE_FILE
+    table = _read_table(path) or {"subscriptions": []}
+    try:
+        for record in table["subscriptions"]:
+            if record["name"] == name:
+                state = SubscriptionState(_subscription(record),
+                                          record["wrapper"])
+                return sanitize_name(state.poll_key)
+    except (KeyError, TypeError, ValueError, ReproError) as exc:
+        raise StoreCorruptionError(
+            f"{path}: malformed subscription table: {exc}") from exc
+    return name

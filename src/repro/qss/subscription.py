@@ -32,7 +32,8 @@ class Notification:
 
     ``elapsed`` is the server-side wall time (seconds) spent executing
     the poll that produced this notification -- source query, diff
-    incorporation, and filter evaluation included -- so clients can see
+    incorporation (shared by every subscription with the same poll key),
+    and filter evaluation included -- so clients can see
     per-subscription evaluation cost without scraping server metrics.
     """
 

@@ -7,6 +7,7 @@ from repro import (
     RestaurantGuideSource,
     Subscription,
     Wrapper,
+    snapshot_at,
 )
 from repro.errors import QSSError
 
@@ -56,26 +57,53 @@ class TestRetentionPolicy:
         assert bounded.doems.doem("S").annotation_count() < \
             unbounded.doems.doem("S").annotation_count()
 
-    def test_incompatible_with_sharing(self):
-        with pytest.raises(QSSError):
-            QSSServer(compact_keep_polls=2, share_by_polling_query=True)
-
     def test_bad_keep_value(self):
         with pytest.raises(QSSError):
             QSSServer(compact_keep_polls=0)
 
-    def test_manual_compaction_of_shared_doem_refused(self):
-        server = QSSServer(start="1Dec96", share_by_polling_query=True,
-                           deliver_empty=True)
-        source = RestaurantGuideSource(seed=13)
-        server.register_wrapper("guide", Wrapper(source, name="guide"))
-        for name, hour in (("A", 6), ("B", 7)):
-            server.subscribe(Subscription(
-                name=name, frequency=f"every day at {hour}:00am",
-                polling_query="select guide.restaurant",
-                filter_query=f"select {name}.restaurant<cre at T> "
-                             f"where T > t[-1]", polling_name=name),
-                "guide")
-        server.run_until("3Dec96")
-        with pytest.raises(QSSError):
-            server.doems.compact_before("A", "2Dec96")
+    def test_shared_key_compacts_for_every_sharer(self):
+        """Two sharers at different hours: per-key compaction keeps both
+        sharers' notifications, and Ot(D) = R_t at every retained poll
+        time of the key."""
+        def guide():
+            return RestaurantGuideSource(seed=13, initial_restaurants=8,
+                                         events_per_day=3.0)
+
+        def shared_server(keep):
+            server = QSSServer(start="1Dec96", deliver_empty=True,
+                               compact_keep_polls=keep)
+            server.register_wrapper("guide", Wrapper(guide(), name="guide"))
+            for name, hour in (("A", 6), ("B", 7)):
+                server.subscribe(Subscription(
+                    name=name, frequency=f"every day at {hour}:00am",
+                    polling_query="select guide.restaurant",
+                    filter_query=f"select {name}.restaurant<cre at T> "
+                                 f"where T > t[-1]", polling_name=name),
+                    "guide")
+            server.run_until("15Dec96")
+            return server
+
+        bounded, unbounded = shared_server(2), shared_server(None)
+        assert notification_keys(bounded) == notification_keys(unbounded)
+        doem = bounded.doems.doem("A")
+        assert doem is bounded.doems.doem("B")
+        assert len(doem.timestamps()) < \
+            len(unbounded.doems.doem("A").timestamps())
+
+        sharers = bounded.subscriptions.states()
+        cutoff = min(state.polling_times[-3] for state in sharers)
+        replica = Wrapper(guide(), name="guide")
+        retained = 0
+        for when in sorted({when for state in sharers
+                            for when in state.polling_times}):
+            replica.advance(when)
+            expected = replica.poll("select guide.restaurant")
+            if when >= cutoff:
+                assert snapshot_at(doem, when).isomorphic_to(expected), when
+                retained += 1
+        assert retained >= 4
+
+
+def notification_keys(server):
+    return [(n.subscription, n.polling_time, n.poll_index,
+             tuple(map(str, n.result))) for n in server.notification_log]

@@ -229,7 +229,6 @@ class TestSubscriptionTable:
 
     def test_sharing_structure_survives(self, store_path):
         server = QSSServer(start="30Dec96", deliver_empty=True,
-                           share_by_polling_query=True,
                            store=str(store_path))
         server.register_wrapper("guide",
                                 Wrapper(ScriptedSource(), name="guide"))
@@ -244,7 +243,10 @@ class TestSubscriptionTable:
         server.close()
         restored = reopen(store_path)
         assert restored.doems.doem("A") is restored.doems.doem("B")
-        assert restored.doems.shared_with("A") == ["B"]
+        key = restored.subscriptions.get("A").poll_key
+        assert [state.subscription.name for state
+                in restored.subscriptions.sharers(key)] == ["A", "B"]
+        assert restored.store.names() == [sanitize_name(key)]
 
     def test_corrupt_or_unknown_table_raises(self, store_path):
         """A table that cannot be trusted is an error, never a silent
@@ -254,8 +256,11 @@ class TestSubscriptionTable:
                 ("{not json", StoreCorruptionError),
                 ('{"format": 99, "clock": 0, "subscriptions": []}',
                  StoreError),
-                ('["format", 1]', StoreError),
-                ('{"format": 1, "clock": 0, "subscriptions": [{"name": "S"}]}',
+                ('["format", 2]', StoreError),
+                # Format 1 named each history after its subscription.
+                ('{"format": 1, "clock": 0, "subscriptions": []}',
+                 StoreError),
+                ('{"format": 2, "clock": 0, "subscriptions": [{"name": "S"}]}',
                  StoreCorruptionError)):
             (store_path / TABLE_FILE).write_text(content, encoding="utf-8")
             with pytest.raises(error):
@@ -323,11 +328,12 @@ class TestSubscriptionTable:
         close_store(store_path)
         assert (store_path / TABLE_FILE).is_file()
         store = open_store(store_path, "ro")
-        assert store.names() == ["S"]
-        assert list(store.info()["histories"]) == ["S"]
+        history = sanitize_name(server.subscriptions.get("S").poll_key)
+        assert store.names() == [history]
+        assert list(store.info()["histories"]) == [history]
         report = store.fsck()
         assert report["ok"]
-        assert [h["name"] for h in report["histories"]] == ["S"]
+        assert [h["name"] for h in report["histories"]] == [history]
         close_store(store_path)
         assert main(["store", "fsck", str(store_path)]) == 0
         out = capsys.readouterr().out
@@ -368,20 +374,21 @@ def guide_source():
 class TestRestartEquivalence:
     """A store-restarted server is equivalent to one never restarted."""
 
-    @pytest.mark.parametrize("share", [False, True])
-    def test_restarted_equals_never_restarted(self, store_path, share):
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_restarted_equals_never_restarted(self, store_path, cached):
+        """Under both space strategies (cached or recomputed R_{i-1})."""
         never = QSSServer(start="1Dec96", deliver_empty=True,
-                          share_by_polling_query=share)
+                          cache_previous_result=cached)
         run_guide_server(never, guide_source(), days=10)
 
         source = guide_source()
         first = QSSServer(start="1Dec96", deliver_empty=True,
-                          share_by_polling_query=share,
+                          cache_previous_result=cached,
                           store=str(store_path))
         run_guide_server(first, source, days=5)
         first.close()
         second = reopen(store_path, deliver_empty=True,
-                        share_by_polling_query=share)
+                        cache_previous_result=cached)
         run_guide_server(second, source, days=10)
         second.close()
 
@@ -391,6 +398,4 @@ class TestRestartEquivalence:
             expected
         for name, *_ in GUIDE_SUBSCRIPTIONS:
             assert second.doems.doem(name).same_as(never.doems.doem(name))
-        if share:
-            assert second.doems.doem("all") is \
-                second.doems.doem("all_evening")
+        assert second.doems.doem("all") is second.doems.doem("all_evening")

@@ -119,7 +119,8 @@ class TestTimeoutLadder:
                 # then actually runs (instead of being skipped) and
                 # resets the streak.
                 release.set()
-                zombie = server._inflight.get("hung")
+                zombie = server._inflight.get(
+                    server.subscriptions.get("hung").poll_key)
                 if zombie is not None:
                     zombie.exception(timeout=30)
                 server.run_until("6Dec96 6:00pm")

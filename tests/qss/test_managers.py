@@ -124,11 +124,14 @@ class TestDOEMManagerStrategies:
         assert lean.state_size("S")["cached_nodes"] == 0
 
     def test_state_size_sees_shared_cache(self):
-        """Sharers report the cached result stored under the alias key."""
+        """Sharers report the cached result stored under their poll key."""
         manager = DOEMManager(cache_previous_result=True)
-        manager.set_alias("S", "guide::q")
-        manager.set_alias("T", "guide::q")
+        manager.subscriptions = SubscriptionManager()
+        for name in ("S", "T"):
+            manager.subscriptions.add(subscription(name), "guide", "30Dec96")
         self._run_polls(manager)
+        assert list(manager._doems) == \
+            [manager.subscriptions.get("T").poll_key]
         for name in ("S", "T"):
             sizes = manager.state_size(name)
             assert sizes["cached_nodes"] > 0, name

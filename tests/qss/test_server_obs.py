@@ -202,14 +202,20 @@ class TestPollSpans:
         tracer = get_tracer()
         with tracer.capture() as capture:
             server.run_until("31Dec96")
+        at = str(parse_timestamp("30Dec96 11:30pm"))
         poll = capture.find("qss.poll")
         assert poll is not None
         assert poll.attrs["subscription"] == "Restaurants"
-        assert poll.attrs["at"] == str(parse_timestamp("30Dec96 11:30pm"))
+        assert poll.attrs["at"] == at
         child_names = [child.name for child in poll.children]
-        for phase in ("qss.poll.source", "qss.poll.incorporate",
-                      "qss.filter", "qss.package"):
+        for phase in ("qss.filter", "qss.package"):
             assert phase in child_names
+        # The source and incorporate phases run once per poll key.
+        key = server.subscriptions.get("Restaurants").poll_key
+        for phase in ("qss.poll.source", "qss.poll.incorporate"):
+            shared = capture.find(phase)
+            assert shared is not None
+            assert shared.attrs == {"key": key, "at": at}
 
     def test_no_spans_when_tracing_disabled(self):
         server = make_server()

@@ -4,10 +4,18 @@ import io
 
 import pytest
 
-from repro import LoreStore, build_doem, dumps
+from repro import (
+    LoreStore,
+    QSSServer,
+    RestaurantGuideSource,
+    Subscription,
+    Wrapper,
+    build_doem,
+    dumps,
+)
 from repro.cli import main
 from repro.obs.querylog import query_log
-from repro.store import close_store, open_store
+from repro.store import close_store, open_store, sanitize_name
 from tests.conftest import make_guide_db, make_guide_history
 
 
@@ -154,6 +162,45 @@ class TestHistoryAndChorel:
         LoreStore(lore_dir).put_doem(
             "guidehist", build_doem(make_guide_db(), make_guide_history()))
         assert run_cli("history", str(lore_dir), "guidehist")[0] == 1
+
+
+@pytest.fixture
+def polled_store(tmp_path):
+    """A QSS server's store: subscription ``Watch`` polled for three days."""
+    store_dir = tmp_path / "qss"
+    server = QSSServer(start="1Dec96", store=str(store_dir))
+    server.register_wrapper("guide", Wrapper(RestaurantGuideSource(
+        seed=3, initial_restaurants=4, events_per_day=3), name="guide"))
+    server.subscribe(Subscription(
+        name="Watch", frequency="every day at 6:00pm",
+        polling_query="select guide.restaurant",
+        filter_query="select Watch.restaurant<cre at T> where T > t[-1]"),
+        "guide")
+    server.run_until("4Dec96")
+    server.close()
+    close_store(store_dir)
+    yield store_dir
+    close_store(store_dir)
+
+
+class TestSubscriptionNames:
+    """A polled history is addressed by its subscription's name too."""
+
+    def test_history_by_subscription_name(self, polled_store):
+        code, text = run_cli("history", str(polled_store), "Watch")
+        assert code == 0
+        assert "creNode" in text
+        key_history = sanitize_name("guide::select guide.restaurant")
+        assert run_cli("history", str(polled_store), key_history) == \
+            (0, text)
+
+    def test_chorel_and_explain_by_subscription_name(self, polled_store):
+        code, text = run_cli("chorel", str(polled_store), "Watch",
+                             "select answer.<add at T>restaurant")
+        assert code == 0 and "&" in text
+        code, _ = run_cli("explain", "select answer.restaurant", "--analyze",
+                          "--store", str(polled_store), "--db", "Watch")
+        assert code == 0
 
 
 DEMO_QUERY = "select T, X from root.<add at T>item X where T > 20Jan97"
